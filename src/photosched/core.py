@@ -210,10 +210,13 @@ def route_options(job: Job) -> List[RouteChoice]:
 
 
 def big_m(instance: Instance) -> int:
-    """Disjunctive big-M constant: total processing time over all jobs."""
+    """Disjunctive big-M constant: total processing time over all jobs plus
+    the latest ready time, which bounds every completion of a semi-active
+    schedule."""
     if not instance.jobs:
         raise ValueError("instance has no jobs")
-    return sum(job.total_time for job in instance.jobs)
+    return (sum(job.total_time for job in instance.jobs)
+            + max(job.ready for job in instance.jobs))
 
 
 # ---------------------------------------------------------------------------

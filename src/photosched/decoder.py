@@ -7,7 +7,7 @@ stages to it and reserves the tool for the whole span.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     CLUSTER_ENTRY,
@@ -15,7 +15,7 @@ from .core import (
     Job,
     Machine,
     Objective,
-    STAGES,
+    eligible_machines,
     route_options,
 )
 from .evaluator import Schedule, Visit, objective_value
@@ -55,10 +55,8 @@ def _candidates(instance: Instance, job: Job, stage: int,
                 used_individual_coat: bool) -> List[Machine]:
     """Machines the job may commit to when it reaches `stage` uncovered."""
     out = []
-    for machine in instance.machines:
+    for machine in eligible_machines(instance, stage):
         cls = machine.tool_class
-        if not machine.covers(stage):
-            continue
         if cls in CLUSTER_ENTRY:
             if CLUSTER_ENTRY[cls] != stage:
                 continue  # clusters are entered at their first covered stage
@@ -72,50 +70,129 @@ def _candidates(instance: Instance, job: Job, stage: int,
     return out
 
 
+class _JobSteps(NamedTuple):
+    ready: int
+    due: int
+    weight: int
+    steps: tuple  # (stage, duration, (candidates, candidates after an individual coat))
+
+
+class Decoder:
+    """Decoding tables for one instance, built once and reused per order.
+
+    Each job is reduced to its ready time, due date, weight and a tuple of
+    (stage, duration, candidates) steps, where candidates holds the
+    machines the job may commit to at that stage, first without and then
+    with an individual coat behind it.  A candidate is (machine index,
+    later covered stages of a cluster), pre-sorted by the tie-break: more
+    covered stages first, then machine id.  `score` and `schedule` share
+    one placement loop, so both apply the same greedy rule.
+    """
+
+    def __init__(self, instance: Instance):
+        machines = instance.machines
+        self._machine_ids = [m.id for m in machines]
+        entries = {m.id: (k, tuple(s for s in m.covered_stages
+                                   if s > CLUSTER_ENTRY[m.tool_class])
+                              if m.is_cluster else ())
+                   for k, m in enumerate(machines)}
+        ranked = [entries[m.id] for m in
+                  sorted(machines, key=lambda m: (-len(m.covered_stages), m.id))]
+
+        def ranked_candidates(job: Job, stage: int, coat: bool):
+            allowed = {entries[m.id] for m in _candidates(instance, job, stage, coat)}
+            return tuple(e for e in ranked if e in allowed)
+
+        # (stage, needs-4, needs-6) -> candidates without / with an
+        # individual coat, the only job facts the routing rules read.
+        table: Dict[Tuple[int, bool, bool], tuple] = {}
+        self._jobs: Dict[str, _JobSteps] = {}
+        for job in instance.jobs:
+            needs = (job.needs(4), job.needs(6))
+            steps = []
+            for s in job.stages:
+                options = table.get((s,) + needs)
+                if options is None:
+                    plain = ranked_candidates(job, s, False)
+                    # The coat flag is set at stage 2, so earlier stages never read it.
+                    options = table[(s,) + needs] = (
+                        plain, plain if s <= 2 else ranked_candidates(job, s, True))
+                steps.append((s, job.duration(s), options))
+            self._jobs[job.id] = _JobSteps(job.ready, job.due, job.weight, tuple(steps))
+
+    def score(self, order: Sequence[str], kind: Objective) -> int:
+        """Objective value of the order's decoded schedule, without building it."""
+        ends = self._place(order, None)
+        if kind == Objective.CMAX:
+            return max((c for _, c in ends), default=0)
+        if kind == Objective.WCT:
+            return sum(job.weight * c for job, c in ends)
+        return sum(job.weight * (c - job.due) for job, c in ends if c > job.due)
+
+    def schedule(self, order: Sequence[str]) -> Schedule:
+        """The order's decoded schedule."""
+        visits: List[Tuple[str, int, int, int]] = []
+        self._place(order, visits)
+        machine_ids = self._machine_ids
+        assign: Dict[Visit, str] = {}
+        completion: Dict[Visit, int] = {}
+        sequences: List[List[Visit]] = [[] for _ in machine_ids]
+        for job_id, stage, mk, c in visits:
+            assign[(job_id, stage)] = machine_ids[mk]
+            completion[(job_id, stage)] = c
+            sequences[mk].append((job_id, stage))
+        return Schedule(assign=assign, completion=completion,
+                        sequences={machine_ids[mk]: seq
+                                   for mk, seq in enumerate(sequences) if seq})
+
+    def _place(self, order: Sequence[str], visits: Optional[list]):
+        """Place the jobs greedily in list order.
+
+        Returns (job, last completion) per job in order and, when `visits`
+        is a list, appends (job id, stage, machine index, completion) to it
+        for every placed stage.
+        """
+        if len(order) != len(self._jobs) or set(order) != self._jobs.keys():
+            raise DecodeError("order is not a permutation of the instance's jobs")
+
+        free = [0] * len(self._machine_ids)
+        ends = []
+        for job_id in order:
+            job = self._jobs[job_id]
+            prev, steps = job.ready, job.steps
+            held, held_stages = -1, ()  # cluster the job is committed to
+            coat = 0  # 1 once stage 2 ran on an individual coater
+            for stage, duration, options in steps:
+                if stage in held_stages:
+                    mk = held  # tool already held by this job
+                    start = prev
+                else:
+                    mk = -1
+                    for k, later in options[coat]:
+                        t = free[k]
+                        if t < prev:
+                            t = prev
+                        if mk < 0 or t < start:
+                            mk, start, covered = k, t, later
+                            if t == prev:
+                                break  # nothing later in the list starts sooner
+                    if mk < 0:
+                        raise DecodeError(
+                            f"no eligible machine for job {job_id} stage {stage}")
+                    if covered:
+                        held, held_stages = mk, covered
+                    elif stage == 2:
+                        coat = 1
+                prev = start + duration
+                free[mk] = prev
+                if visits is not None:
+                    visits.append((job_id, stage, mk, prev))
+            ends.append((job, prev))
+        return ends
+
+
 def decode(instance: Instance, order: JobOrder,
            kind: Objective) -> Tuple[Schedule, int]:
     """Build a feasible schedule for the permutation and score it."""
-    if sorted(order) != sorted(j.id for j in instance.jobs):
-        raise DecodeError("order is not a permutation of the instance's jobs")
-
-    free: Dict[str, int] = {m.id: 0 for m in instance.machines}
-    assign: Dict[Visit, str] = {}
-    completion: Dict[Visit, int] = {}
-    sequences: Dict[str, List[Visit]] = {m.id: [] for m in instance.machines}
-
-    for job_id in order:
-        job = instance.job(job_id)
-        committed: Dict[int, str] = {}  # covered stages from a cluster pick
-        used_individual_coat = False
-        prev_c = job.ready
-        for stage in job.stages:
-            if stage in committed:
-                mid = committed[stage]
-                start = prev_c  # tool already held by this job
-            else:
-                cands = _candidates(instance, job, stage, used_individual_coat)
-                if not cands:
-                    raise DecodeError(f"no eligible machine for job {job_id} stage {stage}")
-                best = min(
-                    cands,
-                    key=lambda m: (max(free[m.id], prev_c),
-                                   -len(m.covered_stages), m.id),
-                )
-                mid = best.id
-                start = max(free[mid], prev_c)
-                if best.is_cluster:
-                    for cov in best.covered_stages:
-                        if cov > stage:
-                            committed[cov] = mid
-                elif stage == 2:
-                    used_individual_coat = True
-            c = start + job.duration(stage)
-            assign[(job_id, stage)] = mid
-            completion[(job_id, stage)] = c
-            sequences[mid].append((job_id, stage))
-            free[mid] = c
-            prev_c = c
-
-    schedule = Schedule(assign=assign, completion=completion,
-                        sequences={m: v for m, v in sequences.items() if v})
+    schedule = Decoder(instance).schedule(order)
     return schedule, objective_value(instance, schedule, kind)

@@ -353,7 +353,7 @@ def _route_valid(machine, job: Job) -> bool:
 
 def _disjunctive_model(instance: Instance, kind: Objective,
                        shared_precedence: bool) -> MilpModel:
-    M = big_m(instance) + max(j.ready for j in instance.jobs)
+    M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
     jobs = list(instance.jobs)
 

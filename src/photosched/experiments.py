@@ -9,7 +9,7 @@ import csv
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Instance, Objective
@@ -104,14 +104,9 @@ def _run_one(instance: Instance, kind: Objective, n, ready, T, R, mc, rep,
                          SPConfig(max_iterations=sp_iterations, seed=solver_seed))
     runtimes["sp"] = time.perf_counter() - t0
 
-    ga_config = ga or GAConfig()
     t0 = time.perf_counter()
     _, of_ga, _ = run_ga(instance, kind,
-                         GAConfig(pop_size=ga_config.pop_size,
-                                  max_generations=ga_config.max_generations,
-                                  stall_window=ga_config.stall_window,
-                                  stall_tolerance=ga_config.stall_tolerance,
-                                  seed=solver_seed))
+                         replace(ga or GAConfig(), seed=solver_seed))
     runtimes["ga"] = time.perf_counter() - t0
 
     of_exact = None

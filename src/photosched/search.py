@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .core import Instance, Objective
-from .decoder import JobOrder, cluster_affinity, decode
+from .decoder import Decoder, JobOrder, cluster_affinity, decode
 from .evaluator import Schedule
 
 
@@ -62,8 +62,10 @@ def run_sp(instance: Instance, kind: Objective,
     part_y = [j.id for j in instance.jobs if 0 < j.ready < mean_ready]
     part_z = [j.id for j in instance.jobs if j.ready > 0 and j.ready >= mean_ready]
 
+    decoder = Decoder(instance)
     current = list(sp_initial_order(instance))
-    best_schedule, best_value = decode(instance, JobOrder(tuple(current)), kind)
+    best_order = tuple(current)
+    best_value = decoder.score(best_order, kind)
     trace = [best_value]
 
     for itr in range(2, config.max_iterations + 1):
@@ -74,10 +76,11 @@ def run_sp(instance: Instance, kind: Objective,
         else:
             current = (_shuffled(part_x, rng) + _shuffled(part_y, rng)
                        + _shuffled(part_z, rng))
-        schedule, value = decode(instance, JobOrder(tuple(current)), kind)
+        value = decoder.score(current, kind)
         if value < best_value:
-            best_schedule, best_value = schedule, value
+            best_order, best_value = tuple(current), value
         trace.append(best_value)
+    best_schedule, _ = decode(instance, JobOrder(best_order), kind)
     return best_schedule, best_value, trace
 
 
@@ -132,12 +135,13 @@ def run_ga(instance: Instance, kind: Objective,
     rng = random.Random(config.seed)
     ids = [j.id for j in instance.jobs]
 
+    decoder = Decoder(instance)
     cache: Dict[Tuple[str, ...], int] = {}
 
     def fitness(order: JobOrder) -> int:
         key = order.order
         if key not in cache:
-            cache[key] = decode(instance, order, kind)[1]
+            cache[key] = decoder.score(key, kind)
         return cache[key]
 
     population = [sp_initial_order(instance)]

@@ -141,6 +141,13 @@ def test_big_m_is_total_processing_time():
     assert big_m(inst) == 255 + 125
 
 
+def test_big_m_adds_latest_ready_time():
+    jobs = (make_job((40, 20, 75, 45, 30, 45), id="J1", ready=30),
+            make_job((0, 20, 75, 0, 30, 0), id="J2", ready=191))
+    inst = Instance(jobs=jobs, machines=tuple(equipment(2)))
+    assert big_m(inst) == 255 + 125 + 191
+
+
 def test_instance_round_trip(tmp_path):
     jobs = (make_job((40, 20, 75, 0, 30, 45), ready=10, due=200, weight=3),)
     inst = Instance(jobs=jobs, machines=tuple(equipment(2)), label="rt")

@@ -3,10 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photosched.core import Instance, Job, Objective
-from photosched.decoder import DecodeError, JobOrder, cluster_affinity, decode
-from photosched.evaluator import check_feasibility
+from photosched.decoder import (
+    DecodeError,
+    Decoder,
+    JobOrder,
+    _candidates,
+    cluster_affinity,
+    decode,
+)
+from photosched.evaluator import Schedule, check_feasibility, objective_value
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 
 
@@ -104,3 +113,75 @@ def test_decode_deterministic():
     assert a[1] == b[1]
     assert a[0].assign == b[0].assign
     assert a[0].completion == b[0].completion
+
+
+def reference_schedule(instance, order):
+    """The greedy rule written directly: every stage rescans the machines."""
+    free = {m.id: 0 for m in instance.machines}
+    assign, completion = {}, {}
+    sequences = {m.id: [] for m in instance.machines}
+    for job_id in order:
+        job = instance.job(job_id)
+        committed = {}  # covered stages from a cluster pick
+        used_individual_coat = False
+        prev_c = job.ready
+        for stage in job.stages:
+            if stage in committed:
+                mid, start = committed[stage], prev_c
+            else:
+                cands = _candidates(instance, job, stage, used_individual_coat)
+                best = min(cands, key=lambda m: (max(free[m.id], prev_c),
+                                                 -len(m.covered_stages), m.id))
+                mid = best.id
+                start = max(free[mid], prev_c)
+                if best.is_cluster:
+                    committed.update((cov, mid) for cov in best.covered_stages
+                                     if cov > stage)
+                elif stage == 2:
+                    used_individual_coat = True
+            completion[(job_id, stage)] = free[mid] = prev_c = start + job.duration(stage)
+            assign[(job_id, stage)] = mid
+            sequences[mid].append((job_id, stage))
+    return Schedule(assign=assign, completion=completion,
+                    sequences={m: v for m, v in sequences.items() if v})
+
+
+@st.composite
+def instance_orders(draw):
+    inst = generate_instance(GenConfig(
+        n=draw(st.integers(1, 30)),
+        ready_scenario=draw(st.sampled_from(list(ReadyScenario))),
+        T=draw(st.sampled_from([0.3, 0.6])), R=draw(st.sampled_from([0.5, 2.5])),
+        equipment=draw(st.sampled_from([1, 2])),
+        seed=draw(st.integers(0, 2**32 - 1))))
+    return inst, tuple(draw(st.permutations([j.id for j in inst.jobs])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance_orders())
+def test_decoder_score_matches_built_schedule(case):
+    inst, order = case
+    decoder = Decoder(inst)
+    sch = decoder.schedule(order)
+    assert sch == reference_schedule(inst, order)
+    assert sch == decode(inst, JobOrder(order), Objective.CMAX)[0]
+    assert check_feasibility(inst, sch) == []
+    for kind in Objective:
+        assert decoder.score(order, kind) == objective_value(inst, sch, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance_orders())
+def test_decoder_rejects_non_permutations(case):
+    inst, order = case
+    bad = [order[:-1], order + ("X",), order[:-1] + ("X",), order + order[:1]]
+    if len(order) > 1:
+        bad.append(order[:-1] + order[:1])  # duplicate of the same length
+    decoder = Decoder(inst)
+    for wrong in bad:
+        with pytest.raises(DecodeError):
+            decoder.score(wrong, Objective.TWT)
+        with pytest.raises(DecodeError):
+            decoder.schedule(wrong)
+        with pytest.raises(DecodeError):
+            decode(inst, wrong, Objective.CMAX)

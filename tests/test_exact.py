@@ -80,6 +80,20 @@ def test_export_model_accepts_decoded_schedules():
     assert check_values(model, values) == []
 
 
+def test_export_model_accepts_late_ready_jobs():
+    # J2 is ready at 191 and completes at 446, past the total processing
+    # time (425); the big-M must also cover the latest ready time.
+    inst = Instance(jobs=(Job("J1", (0, 20, 75, 0, 30, 45), ready=0, due=176, weight=4),
+                          Job("J2", (40, 20, 75, 45, 30, 45), ready=191, due=152,
+                              weight=3)),
+                    machines=tuple(equipment(1)))
+    for order in (("J1", "J2"), ("J2", "J1")):
+        for kind in Objective:
+            model = export_milp(inst, kind)
+            sch, _ = decode(inst, JobOrder(order), kind)
+            assert check_values(model, schedule_to_values(inst, sch, model)) == []
+
+
 def test_export_model_rejects_tampered_schedules():
     inst = generate_instance(GenConfig(n=3, equipment=2, seed=2))
     model = export_milp(inst, Objective.CMAX)

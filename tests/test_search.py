@@ -1,12 +1,14 @@
 """Permutation heuristics: initial order, SP search, GA operators and loop."""
 
+import hashlib
 import random
 
 import pytest
 
 from photosched.core import Instance, Job, Objective
 from photosched.decoder import JobOrder, decode
-from photosched.evaluator import check_feasibility
+from photosched.evaluator import check_feasibility, save_schedule
+from photosched.experiments import run_grid, save_records
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 from photosched.search import (
     GAConfig,
@@ -155,3 +157,65 @@ def test_ga_config_validation():
         GAConfig(pop_size=1)
     with pytest.raises(ValueError):
         GAConfig(stall_window=600, max_generations=500)
+
+
+# Values and schedule-CSV digests (first 16 hex digits of the SHA-256) of
+# seeded n=25 solves: (park, instance seed, objective, SP value, SP digest,
+# GA value, GA digest).  A faster decoder or search loop must keep them.
+GOLDEN_SOLVES = [
+    (1, 11, Objective.CMAX, 517, "7d5e1a8b94208587", 517, "857620b0a016c8c7"),
+    (1, 11, Objective.WCT, 28313, "c66ed83927d91a2c", 26249, "e1222ff66a8bc3da"),
+    (1, 11, Objective.TWT, 4282, "4972a995338926ff", 3798, "857620b0a016c8c7"),
+    (2, 12, Objective.CMAX, 710, "989e55c296b052aa", 710, "989e55c296b052aa"),
+    (2, 12, Objective.WCT, 34001, "989e55c296b052aa", 34001, "989e55c296b052aa"),
+    (2, 12, Objective.TWT, 3181, "4152998e232d30b1", 3430, "989e55c296b052aa"),
+]
+
+
+def _schedule_digest(instance, schedule, path) -> str:
+    save_schedule(instance, schedule, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mc,seed,kind,sp_value,sp_digest,ga_value,ga_digest",
+                         GOLDEN_SOLVES)
+def test_golden_solves(tmp_path, mc, seed, kind, sp_value, sp_digest,
+                       ga_value, ga_digest):
+    inst = generate_instance(GenConfig(n=25, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=mc, seed=seed))
+    sch, value, _ = run_sp(inst, kind, SPConfig(max_iterations=300, seed=5))
+    assert (value, _schedule_digest(inst, sch, tmp_path / "sp.csv")) == \
+        (sp_value, sp_digest)
+    sch, value, _ = run_ga(inst, kind, GAConfig(pop_size=20, max_generations=15,
+                                                stall_window=15, seed=5))
+    assert (value, _schedule_digest(inst, sch, tmp_path / "ga.csv")) == \
+        (ga_value, ga_digest)
+
+
+GOLDEN_RECORDS = (
+    "n,ready,T,R,mc,rep,objective,of_sp,of_ga,of_exact,exact_status\r\n"
+    "5,zero,0.6,2.5,1,1,cmax,210,210,,failed\r\n"
+    "5,zero,0.6,2.5,1,1,wct,2780,2780,,failed\r\n"
+    "5,zero,0.6,2.5,1,1,twt,382,382,,failed\r\n"
+    "5,zero,0.6,2.5,2,1,cmax,250,250,,failed\r\n"
+    "5,zero,0.6,2.5,2,1,wct,3455,3455,,failed\r\n"
+    "5,zero,0.6,2.5,2,1,twt,1789,1789,,failed\r\n"
+    "5,mixed,0.6,2.5,1,1,cmax,273,273,,failed\r\n"
+    "5,mixed,0.6,2.5,1,1,wct,4211,4211,,failed\r\n"
+    "5,mixed,0.6,2.5,1,1,twt,909,909,,failed\r\n"
+    "5,mixed,0.6,2.5,2,1,cmax,334,334,,failed\r\n"
+    "5,mixed,0.6,2.5,2,1,wct,2359,2359,,failed\r\n"
+    "5,mixed,0.6,2.5,2,1,twt,583,583,,failed\r\n"
+)
+
+
+def test_golden_records_bytes(tmp_path):
+    grid = {"n": [5], "ready": ["zero", "mixed"], "T": [0.6], "R": [2.5],
+            "equipment": [1, 2]}
+    records = run_grid(grid, list(Objective), 1, master_seed=2024,
+                       sp_iterations=50,
+                       ga=GAConfig(pop_size=10, max_generations=10, stall_window=5),
+                       run_exact=False)
+    path = tmp_path / "records.csv"
+    save_records(records, path)
+    assert path.read_bytes() == GOLDEN_RECORDS.encode()
