@@ -16,7 +16,7 @@ from .evaluator import (
     metrics,
     save_schedule,
 )
-from .exact import solve_exact, export_milp, write_lp, OPTIMAL
+from .exact import INFEASIBLE, SolverError, solve_exact, export_milp, write_lp
 from .experiments import (
     DEFAULT_GRID,
     format_summary,
@@ -107,7 +107,8 @@ def _cmd_solve(args) -> int:
     else:
         result = solve_exact(instance, kind, time_limit=args.time_limit)
         if result.schedule is None:
-            print("no solution found within the time limit", file=sys.stderr)
+            print("model is infeasible" if result.status == INFEASIBLE
+                  else "no solution found within the time limit", file=sys.stderr)
             return 1
         schedule, value, status = result.schedule, result.value, result.status
     m = metrics(instance, schedule)
@@ -209,7 +210,7 @@ def dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.verb](args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

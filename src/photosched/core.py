@@ -123,6 +123,7 @@ class Instance:
         if len(set(mids)) != len(mids):
             raise ValueError("duplicate machine ids")
         for job in self.jobs:
+            _require_core_stages(job)
             for s in job.stages:
                 if not any(m.covers(s) for m in self.machines):
                     raise ValueError(f"no machine can process stage {s}")
@@ -167,6 +168,11 @@ class RouteChoice:
         return tuple(s for s, _ in self.stage_class)
 
 
+def _require_core_stages(job: Job) -> None:
+    if not (job.needs(COAT) and job.needs(EXPOSE) and job.needs(DEVELOP)):
+        raise ValueError(f"job {job.id}: coat/expose/develop must be positive")
+
+
 def eligible_machines(instance: Instance, stage: int) -> List[Machine]:
     """Machines whose tool class serves the given stage."""
     if stage not in STAGE_CLASSES:
@@ -195,8 +201,7 @@ def route_options(job: Job) -> List[RouteChoice]:
     post-develop bake is actually required, since the tool always runs
     its final bake step.
     """
-    if not (job.needs(2) and job.needs(3) and job.needs(5)):
-        raise ValueError(f"job {job.id}: coat/expose/develop must be positive")
+    _require_core_stages(job)
     routes = [_route(job, "individual", {2: "C", 3: "E", 5: "D"})]
     routes.append(_route(job, "CE", {2: "CE", 3: "CE", 5: "D"}))
     if not job.needs(4):

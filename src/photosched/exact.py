@@ -30,6 +30,11 @@ from .evaluator import Schedule, Visit, earliest_completion, objective_value
 
 OPTIMAL = "optimal"
 TIMED_OUT = "timeout"
+INFEASIBLE = "infeasible"
+
+
+class SolverError(RuntimeError):
+    """HiGHS ended without an optimum, a time limit or an infeasibility proof."""
 
 
 @dataclass(frozen=True)
@@ -502,6 +507,8 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
     res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
                integrality=integrality, bounds=Bounds(np.zeros(n), upper),
                options=options)
+    if res.status not in (0, 1, 2):
+        raise SolverError(f"HiGHS status {res.status}: {res.message}")
     values = None
     if res.x is not None:
         values = {v: float(res.x[index[v]]) for v in names}
@@ -537,6 +544,9 @@ def solve_exact(instance: Instance, kind: Objective,
                 time_limit: Optional[float] = None) -> ExactResult:
     """Minimize the objective exactly (or best incumbent on timeout).
 
+    The status is OPTIMAL, TIMED_OUT (with the incumbent, if any) or
+    INFEASIBLE (no schedule); any other HiGHS outcome raises SolverError.
+
     The per-reservation precedence model is solved first; when its optimum
     admits a schedule whose pairwise job orders disagree across machines,
     a shared-precedence solve is attempted to recover an equally good,
@@ -554,6 +564,8 @@ def solve_exact(instance: Instance, kind: Objective,
             if consistent is not None:
                 schedule = consistent
         return ExactResult(schedule=schedule, value=value, status=OPTIMAL)
+    if status == 2:
+        return ExactResult(schedule=None, value=None, status=INFEASIBLE)
     if values is not None:
         schedule = _schedule_from_values(instance, values)
         value = objective_value(instance, schedule, kind)
@@ -565,7 +577,10 @@ def _solve_consistent(instance: Instance, kind: Objective,
                       time_limit: Optional[float],
                       target: int) -> Optional[Schedule]:
     model = _disjunctive_model(instance, kind, shared_precedence=True)
-    status, values = _solve_model(model, time_limit)
+    try:
+        status, values = _solve_model(model, time_limit)
+    except SolverError:  # the first solve's optimum stands
+        return None
     if status != 0 or values is None:
         return None
     schedule = _schedule_from_values(instance, values)

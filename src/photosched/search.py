@@ -9,11 +9,13 @@ position-swap crossover and a transposition mutation.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .core import Instance, Objective
 from .decoder import Decoder, JobOrder, cluster_affinity, decode
 from .evaluator import Schedule
+
+_Order = Tuple[str, ...]  # job ids in placement order
 
 
 @dataclass(frozen=True)
@@ -51,42 +53,117 @@ def sp_initial_order(instance: Instance) -> JobOrder:
     return JobOrder(tuple(j.id for j in sorted(instance.jobs, key=key)))
 
 
+# Most orders a solve's score memo keeps; past it, new orders are scored
+# without being stored, so the cap bounds memory and never changes a result.
+MEMO_ENTRIES = 1 << 15
+
+
+def _memo_score(decoder: Decoder, kind: Objective) -> Callable[[_Order], int]:
+    """`decoder.score` for one objective, remembered per order tuple."""
+    memo: Dict[_Order, int] = {}
+    score = decoder.score
+
+    def scored(order: _Order) -> int:
+        value = memo.get(order)
+        if value is None:
+            value = score(order, kind)
+            if len(memo) < MEMO_ENTRIES:
+                memo[order] = value
+        return value
+
+    return scored
+
+
+# Draw helpers: each consumes exactly the bits of the `random.Random` call
+# it stands for, so a seed gives the same runs as calling that method.
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """`rng.randrange(n)` for n >= 1 (CPython's `_randbelow_with_getrandbits`)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _two_positions(getrandbits: Callable[[int], int], n: int) -> Tuple[int, int]:
+    """`rng.sample(range(n), 2)` for n >= 2."""
+    i = _below(getrandbits, n)
+    if n <= 21:  # sample's pool branch: position n-1 fills the drawn slot
+        j = _below(getrandbits, n - 1)
+        return i, (n - 1 if j == i else j)
+    j = _below(getrandbits, n)  # its set branch: redraw until distinct
+    while j == i:
+        j = _below(getrandbits, n)
+    return i, j
+
+
 def run_sp(instance: Instance, kind: Objective,
            config: SPConfig) -> Tuple[Schedule, int, List[int]]:
     """Constructive search over permutations; returns best schedule, value,
     and the best-so-far value per iteration."""
     rng = random.Random(config.seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
     n = len(instance.jobs)
     mean_ready = sum(j.ready for j in instance.jobs) / n
     part_x = [j.id for j in instance.jobs if j.ready == 0]
     part_y = [j.id for j in instance.jobs if 0 < j.ready < mean_ready]
     part_z = [j.id for j in instance.jobs if j.ready > 0 and j.ready >= mean_ready]
 
-    decoder = Decoder(instance)
+    score = _memo_score(Decoder(instance), kind)
     current = list(sp_initial_order(instance))
     best_order = tuple(current)
-    best_value = decoder.score(best_order, kind)
+    best_value = score(best_order)
     trace = [best_value]
 
     for itr in range(2, config.max_iterations + 1):
         if itr <= config.max_iterations // 2:
             if n >= 2:
-                i, j = rng.sample(range(n), 2)
+                i, j = _two_positions(getrandbits, n)
                 current[i], current[j] = current[j], current[i]
         else:
-            current = (_shuffled(part_x, rng) + _shuffled(part_y, rng)
-                       + _shuffled(part_z, rng))
-        value = decoder.score(current, kind)
+            current = (_shuffled(part_x, uniform) + _shuffled(part_y, uniform)
+                       + _shuffled(part_z, uniform))
+        order = tuple(current)
+        value = score(order)
         if value < best_value:
-            best_order, best_value = tuple(current), value
+            best_order, best_value = order, value
         trace.append(best_value)
     best_schedule, _ = decode(instance, JobOrder(best_order), kind)
     return best_schedule, best_value, trace
 
 
-def _shuffled(ids: List[str], rng: random.Random) -> List[str]:
+def _shuffled(ids: List[str], uniform: Callable[[], float]) -> List[str]:
     # Per-element uniform draws, sorted ascending.
-    return [jid for _, jid in sorted((rng.random(), jid) for jid in ids)]
+    return [jid for _, jid in sorted((uniform(), jid) for jid in ids)]
+
+
+# GA operators on order tuples; the JobOrder functions below wrap them.
+
+def _swap_values(seq: _Order, a, b) -> _Order:
+    if a == b:
+        return seq
+    out = list(seq)
+    ia, ib = seq.index(a), seq.index(b)
+    out[ia], out[ib] = b, a
+    return tuple(out)
+
+
+def _crossover(u: _Order, v: _Order, getrandbits, uniform) -> _Order:
+    r = _below(getrandbits, len(u))
+    a, b = u[r], v[r]
+    if a == b:
+        return u
+    return _swap_values(u if uniform() < 0.5 else v, a, b)
+
+
+def _mutate(seq: _Order, getrandbits) -> _Order:
+    if len(seq) < 2:
+        return seq
+    i, j = _two_positions(getrandbits, len(seq))
+    out = list(seq)
+    out[i], out[j] = seq[j], seq[i]
+    return tuple(out)
 
 
 def crossover_children(u: JobOrder, v: JobOrder, r: int) -> Tuple[JobOrder, JobOrder]:
@@ -96,36 +173,17 @@ def crossover_children(u: JobOrder, v: JobOrder, r: int) -> Tuple[JobOrder, JobO
     and their positions swapped there.
     """
     a, b = u.order[r], v.order[r]
-    return _swap_values(u, a, b), _swap_values(v, a, b)
-
-
-def _swap_values(perm: JobOrder, a, b) -> JobOrder:
-    if a == b:
-        return perm
-    seq = list(perm.order)
-    ia, ib = seq.index(a), seq.index(b)
-    seq[ia], seq[ib] = seq[ib], seq[ia]
-    return JobOrder(tuple(seq))
+    return JobOrder(_swap_values(u.order, a, b)), JobOrder(_swap_values(v.order, a, b))
 
 
 def crossover(u: JobOrder, v: JobOrder, rng: random.Random) -> JobOrder:
     """Swap the values found at one random position; return one child."""
-    r = rng.randrange(len(u))
-    if u.order[r] == v.order[r]:
-        return u
-    cu, cv = crossover_children(u, v, r)
-    return cu if rng.random() < 0.5 else cv
+    return JobOrder(_crossover(u.order, v.order, rng.getrandbits, rng.random))
 
 
 def mutate(u: JobOrder, rng: random.Random) -> JobOrder:
     """Swap the contents of two distinct random positions."""
-    n = len(u)
-    if n < 2:
-        return u
-    i, j = rng.sample(range(n), 2)
-    seq = list(u.order)
-    seq[i], seq[j] = seq[j], seq[i]
-    return JobOrder(tuple(seq))
+    return JobOrder(_mutate(u.order, rng.getrandbits))
 
 
 def run_ga(instance: Instance, kind: Objective,
@@ -133,53 +191,45 @@ def run_ga(instance: Instance, kind: Objective,
     """Genetic algorithm; returns best schedule, value, and per-generation
     best-so-far values."""
     rng = random.Random(config.seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
     ids = [j.id for j in instance.jobs]
+    pop_size = config.pop_size
 
-    decoder = Decoder(instance)
-    cache: Dict[Tuple[str, ...], int] = {}
-
-    def fitness(order: JobOrder) -> int:
-        key = order.order
-        if key not in cache:
-            cache[key] = decoder.score(key, kind)
-        return cache[key]
-
-    population = [sp_initial_order(instance)]
-    for _ in range(config.pop_size - 1):
+    score = _memo_score(Decoder(instance), kind)
+    population = [sp_initial_order(instance).order]
+    for _ in range(pop_size - 1):
         seq = ids[:]
         rng.shuffle(seq)
-        population.append(JobOrder(tuple(seq)))
-    fits = [fitness(p) for p in population]
+        population.append(tuple(seq))
+    fits = [score(p) for p in population]
     best_idx = min(range(len(fits)), key=fits.__getitem__)
     best_order, best_value = population[best_idx], fits[best_idx]
 
     history: List[int] = []
     for _ in range(config.max_generations):
-        parents = [_tournament(population, fits, rng) for _ in range(config.pop_size)]
-        new_pop: List[JobOrder] = []
-        new_fits: List[int] = []
-        for _ in range(config.pop_size):
-            u = parents[rng.randrange(len(parents))]
-            v = parents[rng.randrange(len(parents))]
-            child = mutate(crossover(u, v, rng), rng)
-            f = fitness(child)
+        parents = [_tournament(population, fits, getrandbits) for _ in range(pop_size)]
+        population, fits = [], []
+        for _ in range(pop_size):
+            u = parents[_below(getrandbits, pop_size)]
+            v = parents[_below(getrandbits, pop_size)]
+            child = _mutate(_crossover(u, v, getrandbits, uniform), getrandbits)
+            f = score(child)
             if f < best_value:
                 best_order, best_value = child, f
-            new_pop.append(child)
-            new_fits.append(f)
-        population, fits = new_pop, new_fits
+            population.append(child)
+            fits.append(f)
         history.append(best_value)
         if len(history) > config.stall_window and _stalled(history, config):
             break
 
-    best_schedule, _ = decode(instance, best_order, kind)
+    best_schedule, _ = decode(instance, JobOrder(best_order), kind)
     return best_schedule, best_value, history
 
 
-def _tournament(population: List[JobOrder], fits: List[int],
-                rng: random.Random) -> JobOrder:
-    i = rng.randrange(len(population))
-    j = rng.randrange(len(population))
+def _tournament(population: List[_Order], fits: List[int],
+                getrandbits) -> _Order:
+    i = _below(getrandbits, len(population))
+    j = _below(getrandbits, len(population))
     return population[i] if fits[i] <= fits[j] else population[j]
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from photosched.cli import dispatch
-from photosched.core import load_instance
+from photosched.core import Instance, Job, load_instance, save_instance
+from photosched.instgen import equipment
 
 
 def run(capsys, *argv):
@@ -128,3 +129,22 @@ def test_usage_error_exits_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-verb")
     assert code == 2
+
+
+def test_solve_rejects_job_without_develop(instance_path, capsys):
+    data = json.loads(instance_path.read_text())
+    data["jobs"][0]["p"][4] = 0
+    instance_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "solve", str(instance_path), "--alg", "sp")
+    assert code == 1
+    assert "error:" in err and data["jobs"][0]["id"] in err
+
+
+def test_solve_exact_reports_infeasible_model(tmp_path, capsys):
+    machines = tuple(m for m in equipment(2) if m.tool_class not in ("C", "D"))
+    path = tmp_path / "no-route.json"
+    save_instance(Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),),
+                           machines=machines), path)
+    code, _, err = run(capsys, "solve", str(path), "--alg", "exact")
+    assert code == 1
+    assert "model is infeasible" in err

@@ -122,6 +122,18 @@ def test_route_options_requires_core_stages():
         route_options(make_job((40, 0, 75, 0, 30, 0)))
 
 
+# On park 2 a job without coat used to crash SP/GA in cluster_affinity, and
+# one without develop was decoded and "solved" onto CEDB1, which the
+# feasibility checker rejects; neither gets past validation now.
+@pytest.mark.parametrize("p", [(40, 0, 75, 0, 30, 45),    # no coat
+                               (40, 20, 75, 0, 0, 45),    # no develop
+                               (40, 20, 0, 0, 30, 45)])   # no expose
+def test_instance_rejects_job_without_coat_expose_or_develop(p):
+    jobs = (make_job((40, 20, 75, 45, 30, 45), id="J1"), make_job(p, id="J2"))
+    with pytest.raises(ValueError, match="job J2"):
+        Instance(jobs=jobs, machines=tuple(equipment(2)))
+
+
 def test_route_stage_class_mapping():
     job = make_job((40, 20, 75, 0, 30, 45))
     by_family = {r.family: r for r in route_options(job)}

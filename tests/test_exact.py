@@ -4,13 +4,18 @@ The frozen optima below were computed by the exhaustive enumeration
 helper in enumeration.py, independently of the solver under test.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from photosched import exact
 from photosched.core import Instance, Job, Objective
 from photosched.decoder import JobOrder, decode
 from photosched.evaluator import check_feasibility
 from photosched.exact import (
+    INFEASIBLE,
     OPTIMAL,
+    SolverError,
     check_values,
     export_milp,
     schedule_to_values,
@@ -139,3 +144,23 @@ def test_solver_timeout_reports_incumbent_or_none():
     if result.schedule is not None:
         assert check_feasibility(inst, result.schedule) == []
         assert result.value is not None
+
+
+def no_route_instance():
+    # Park 2 without C and D tools: a job needing the pre-develop bake can
+    # use neither CED/CEDB (oven outside) nor CE (no D) nor ED (no C).
+    machines = tuple(m for m in equipment(2) if m.tool_class not in ("C", "D"))
+    return Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
+
+
+def test_solve_exact_reports_infeasible_model():
+    result = solve_exact(no_route_instance(), Objective.CMAX, time_limit=10)
+    assert (result.status, result.schedule, result.value) == (INFEASIBLE, None, None)
+
+
+def test_solve_exact_raises_on_other_highs_status(monkeypatch):
+    failed = SimpleNamespace(status=4, message="numerical trouble", x=None)
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: failed)
+    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    with pytest.raises(SolverError, match="numerical trouble"):
+        solve_exact(inst, Objective.CMAX)

@@ -1,7 +1,11 @@
 """Experiment harness: seeds, grids, ratios, aggregation, record files."""
 
+from types import SimpleNamespace
+
+from photosched import exact
 from photosched.core import Objective
 from photosched.experiments import (
+    FAILED,
     AggregateRow,
     ExperimentRecord,
     aggregate,
@@ -136,3 +140,11 @@ def test_format_summary_layout():
 def test_aggregate_row_formatting():
     assert AggregateRow(("*",), 1.005, 12).formatted() == "1.00 (12)"
     assert AggregateRow(("*",), None, 0).formatted() == "N/A (0)"
+
+
+def test_solver_error_is_recorded_as_failed(monkeypatch):
+    failed = SimpleNamespace(status=4, message="numerical trouble", x=None)
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: failed)
+    grid = dict(SMALL_GRID, n=[2])
+    (rec,) = run_grid(grid, [Objective.CMAX], 1, master_seed=7, sp_iterations=10)
+    assert (rec.exact_status, rec.of_exact) == (FAILED, None)

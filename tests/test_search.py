@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from photosched import search
 from photosched.core import Instance, Job, Objective
-from photosched.decoder import JobOrder, decode
+from photosched.decoder import Decoder, JobOrder, decode
 from photosched.evaluator import check_feasibility, save_schedule
 from photosched.experiments import run_grid, save_records
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
@@ -219,3 +220,97 @@ def test_golden_records_bytes(tmp_path):
     path = tmp_path / "records.csv"
     save_records(records, path)
     assert path.read_bytes() == GOLDEN_RECORDS.encode()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2024])
+def test_below_draws_like_randrange(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(1, 65):
+        for _ in range(5):
+            assert search._below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.random() == theirs.random()  # same generator state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99, 2024])
+def test_two_positions_draws_like_sample(seed):
+    # n up to 64 covers both of sample's branches (pool for n <= 21, set above).
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(2, 65):
+        for _ in range(5):
+            assert list(search._two_positions(ours.getrandbits, n)) == \
+                theirs.sample(range(n), 2)
+            assert ours.random() == theirs.random()
+
+
+def _desk_instance(n, mc, ready, seed):
+    return generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario(ready),
+                                       T=0.6, R=2.5, equipment=mc, seed=seed))
+
+
+def _run_digest(instance, schedule, trace, path) -> str:
+    save_schedule(instance, schedule, path)
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(",".join(map(str, trace)).encode())
+    return digest.hexdigest()[:16]
+
+
+# Default-config SP and GA, and a 4-member GA whose loop (not its initial
+# population) finds the best order on the last instance, at desk sizes:
+# (n, park, ready, instance seed, objective, then value and digest of the
+# schedule CSV plus trace for SP, GA and the 4-member GA).
+SMALL_GA = GAConfig(pop_size=4, max_generations=60, stall_window=20, seed=3)
+GOLDEN_DESK = [
+    (2, 1, "mixed", 1, "cmax", 434, "5bf6323eb223666e", 434, "f045d82ca076d068", 434, "124ebc0bb8c673f4"),
+    (2, 1, "mixed", 1, "wct", 2590, "e70750807073830a", 2590, "e885454b5f7d14fb", 2590, "9ac58823476a9ed6"),
+    (2, 1, "mixed", 1, "twt", 1490, "9ad91f64356b8932", 1490, "7c25fdcc32af8660", 1490, "adbcae419457318a"),
+    (2, 2, "zero", 1, "cmax", 255, "463ec50fd8080244", 255, "f7a956665737410e", 255, "c30157f0f29643a0"),
+    (2, 2, "zero", 1, "wct", 1140, "ac59452a4713f42b", 1140, "52e72d3cf9516c84", 1140, "d3ac87222d34d978"),
+    (2, 2, "zero", 1, "twt", 681, "d513fe6adce3f543", 681, "d5d86b11fd99ec5f", 681, "02ff679046a4ff1a"),
+    (3, 1, "mixed", 1, "cmax", 255, "e971c7b466144279", 255, "ab62790291e5850a", 255, "676be3413664e64c"),
+    (3, 1, "mixed", 1, "wct", 1627, "61087b95a22cd2aa", 1627, "2804cc4cb9916df8", 1627, "6b80f19d298289a7"),
+    (3, 1, "mixed", 1, "twt", 1414, "151a9f5f32a6f2cf", 1414, "1e0fa962b87a8f8d", 1414, "6c5c52ec6d048045"),
+    (3, 2, "zero", 5, "cmax", 210, "c06b7f39a1b79ab1", 210, "32be6cb08466a216", 210, "f66340285f1f4240"),
+    (3, 2, "zero", 5, "wct", 1000, "dc8051f3d12d22bb", 1000, "6c1d20a586bbb1de", 1000, "6732b1a40869ad86"),
+    (3, 2, "zero", 5, "twt", 223, "c0aab2dd7ebc3fc8", 223, "c9ede03203396ecb", 223, "9db72c0dc7bdbf76"),
+    (5, 1, "zero", 5, "cmax", 255, "dd8cd3b72028eae1", 255, "552f13153862ddc4", 255, "fd2c52276aae82d8"),
+    (5, 1, "zero", 5, "wct", 3095, "b04984a99d3405f3", 3095, "7dd46fbe23d1c74a", 3095, "e7f8f4ea797dd85e"),
+    (5, 1, "zero", 5, "twt", 1485, "a8056347d00e85c2", 1485, "a6479ee580a55fdd", 1485, "3575fcbe7189afe2"),
+    (5, 2, "mixed", 5, "cmax", 306, "a5456c4a73bf6170", 306, "bd3713187955878f", 306, "26a0fcacb535836e"),
+    (5, 2, "mixed", 5, "wct", 3649, "ee83809d8f2441fe", 3649, "034a064841dae351", 3649, "9a8b6c75ccbfc774"),
+    (5, 2, "mixed", 5, "twt", 1266, "4375a6354c864347", 1266, "00cc22fc810b2bb7", 1266, "bb3153f8e5d72a89"),
+]
+
+
+@pytest.mark.parametrize("n,mc,ready,seed,kind,sp_value,sp_digest,ga_value,ga_digest,"
+                         "small_value,small_digest", GOLDEN_DESK)
+def test_golden_desk_solves(tmp_path, n, mc, ready, seed, kind, sp_value, sp_digest,
+                            ga_value, ga_digest, small_value, small_digest):
+    inst = _desk_instance(n, mc, ready, seed)
+    kind = Objective(kind)
+    runs = [(run_sp(inst, kind, SPConfig()), sp_value, sp_digest),
+            (run_ga(inst, kind, GAConfig()), ga_value, ga_digest),
+            (run_ga(inst, kind, SMALL_GA), small_value, small_digest)]
+    for (sch, value, trace), want_value, want_digest in runs:
+        assert (value, _run_digest(inst, sch, trace, tmp_path / "s.csv")) == \
+            (want_value, want_digest)
+
+
+@pytest.mark.parametrize("kind", list(Objective))
+def test_capped_memo_changes_no_result(monkeypatch, kind):
+    inst = _desk_instance(5, 2, "mixed", 5)
+    solves = [lambda: run_sp(inst, kind, SPConfig(max_iterations=300, seed=2)),
+              lambda: run_ga(inst, kind, SMALL_GA)]
+    scored = []
+    score = Decoder.score
+
+    def counted(self, order, kind):
+        scored.append(order)
+        return score(self, order, kind)
+
+    monkeypatch.setattr(Decoder, "score", counted)
+    uncapped = [solve() for solve in solves]
+    uncapped_calls = len(scored)
+    monkeypatch.setattr(search, "MEMO_ENTRIES", 4)
+    assert [solve() for solve in solves] == uncapped
+    # With 4 orders kept, repeated orders are scored again.
+    assert len(scored) - uncapped_calls > uncapped_calls
