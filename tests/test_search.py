@@ -223,21 +223,12 @@ def test_golden_records_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99, 2024])
-def test_below_draws_like_randrange(seed):
-    ours, theirs = random.Random(seed), random.Random(seed)
-    for n in range(1, 65):
-        for _ in range(5):
-            assert search._below(ours.getrandbits, n) == theirs.randrange(n)
-            assert ours.random() == theirs.random()  # same generator state
-
-
-@pytest.mark.parametrize("seed", [0, 1, 99, 2024])
 def test_two_positions_draws_like_sample(seed):
     # n up to 64 covers both of sample's branches (pool for n <= 21, set above).
     ours, theirs = random.Random(seed), random.Random(seed)
     for n in range(2, 65):
         for _ in range(5):
-            assert list(search._two_positions(ours.getrandbits, n)) == \
+            assert list(search._two_positions(ours._randbelow, n)) == \
                 theirs.sample(range(n), 2)
             assert ours.random() == theirs.random()
 
@@ -312,5 +303,38 @@ def test_capped_memo_changes_no_result(monkeypatch, kind):
     uncapped_calls = len(scored)
     monkeypatch.setattr(search, "MEMO_ENTRIES", 4)
     assert [solve() for solve in solves] == uncapped
-    # With 4 orders kept, repeated orders are scored again.
+    # With at most 4 orders kept, repeated orders are scored again.
     assert len(scored) - uncapped_calls > uncapped_calls
+
+
+def test_full_memo_empties_and_keeps_recent_orders(monkeypatch):
+    monkeypatch.setattr(search, "MEMO_ENTRIES", 2)
+    scored = []
+
+    class Recording:
+        def score(self, order, kind):
+            scored.append(order[0])
+            return len(scored)
+
+    memo_score = search._memo_score(Recording(), Objective.CMAX)
+    values = [memo_score((job,)) for job in "abacca"]
+    # "c" finds the memo full and empties it, so the last "a" is scored again.
+    assert scored == list("abca")
+    assert values == [1, 2, 1, 3, 3, 4]
+
+
+@pytest.mark.parametrize("n,memoized", [(5, True), (25, False)])
+def test_sp_memoizes_only_where_orders_repeat(monkeypatch, n, memoized):
+    inst = _desk_instance(n, 1, "mixed", 1)
+    calls = []
+    score = Decoder.score
+
+    def counted(self, order, kind):
+        calls.append(order)
+        return score(self, order, kind)
+
+    monkeypatch.setattr(Decoder, "score", counted)
+    run_sp(inst, Objective.TWT, SPConfig(max_iterations=200))
+    # 200 iterations: 200**2 >= 5! orders, but not 25!.
+    assert (len(calls) < 200) == memoized
+    assert len(calls) == len(set(calls)) if memoized else len(calls) == 200
