@@ -8,8 +8,8 @@ a lot can revisit an oven it used earlier in its flow.
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Dict, List, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, List, Tuple
 
 N_STAGES = 6
 STAGES = tuple(range(1, N_STAGES + 1))
@@ -31,21 +31,31 @@ TOOL_STAGES: Dict[str, Tuple[int, ...]] = {
     "ED": (3, 5),
 }
 
-CLUSTER_CLASSES = ("CE", "CED", "CEDB", "ED")
+# The routing contract.  Each cluster class maps to the stages whose need
+# bars it: the pre-develop bake oven sits outside CED and CEDB, so a lot
+# needing stage 4 cannot use them.  A lot may also commit to a cluster only
+# when it needs every stage the tool covers (CEDB always runs its final
+# bake).  Every other stage goes to the one individual class serving it.
+CLUSTER_BARS: Dict[str, Tuple[int, ...]] = {
+    "CE": (),
+    "CED": (4,),
+    "CEDB": (4,),
+    "ED": (),
+}
 
 # First covered stage of each cluster class; a lot commits to the cluster
 # machine when it reaches this stage.
-CLUSTER_ENTRY = {"CE": 2, "CED": 2, "CEDB": 2, "ED": 3}
+CLUSTER_ENTRY = {cls: TOOL_STAGES[cls][0] for cls in CLUSTER_BARS}
 
 # Classes whose machines may process each stage.
 STAGE_CLASSES: Dict[int, Tuple[str, ...]] = {
-    1: ("S",),
-    2: ("C", "CE", "CED", "CEDB"),
-    3: ("E", "CE", "CED", "CEDB", "ED"),
-    4: ("B",),
-    5: ("D", "CED", "CEDB", "ED"),
-    6: ("B", "CEDB"),
+    s: tuple(cls for cls, covered in TOOL_STAGES.items() if s in covered)
+    for s in STAGES
 }
+
+# The individual (non-cluster) class serving each stage.
+_INDIVIDUAL_CLASS = {s: cls for cls, covered in TOOL_STAGES.items()
+                    if cls not in CLUSTER_BARS for s in covered}
 
 
 class Objective(str, Enum):
@@ -123,10 +133,8 @@ class Instance:
         if len(set(mids)) != len(mids):
             raise ValueError("duplicate machine ids")
         for job in self.jobs:
-            _require_core_stages(job)
-            for s in job.stages:
-                if not any(m.covers(s) for m in self.machines):
-                    raise ValueError(f"no machine can process stage {s}")
+            if not park_routes(self, job):
+                raise ValueError(f"job {job.id}: no route through the machine park")
 
     def job(self, job_id: str) -> Job:
         return self._job_index[job_id]
@@ -157,12 +165,6 @@ class RouteChoice:
     family: str
     stage_class: Tuple[Tuple[int, str], ...]
 
-    def tool_class_for(self, stage: int) -> str:
-        for s, c in self.stage_class:
-            if s == stage:
-                return c
-        raise KeyError(stage)
-
     @property
     def stages(self) -> Tuple[int, ...]:
         return tuple(s for s, _ in self.stage_class)
@@ -181,37 +183,43 @@ def eligible_machines(instance: Instance, stage: int) -> List[Machine]:
     return [m for m in instance.machines if m.tool_class in classes]
 
 
-def _route(job: Job, family: str, block: Dict[int, str]) -> RouteChoice:
-    mapping = {}
-    for s in job.stages:
-        if s in block:
-            mapping[s] = block[s]
-        elif s == 1:
-            mapping[s] = "S"
-        else:  # bake stages
-            mapping[s] = "B"
-    return RouteChoice(family, tuple(sorted(mapping.items())))
+# Routes depend only on the needed stages and, on a park, its tool classes,
+# so both are cached: there are at most 64 stage patterns and 512 class sets.
+@lru_cache(maxsize=None)
+def _routes(stages: Tuple[int, ...]) -> Tuple[RouteChoice, ...]:
+    """The routes of a job needing exactly `stages`: the individual tools,
+    or one usable cluster for its covered span and individual tools around
+    it."""
+    needed = set(stages)
+    families = ["individual"] + [
+        cls for cls, bars in CLUSTER_BARS.items()
+        if needed.issuperset(TOOL_STAGES[cls]) and needed.isdisjoint(bars)]
+    return tuple(
+        RouteChoice(family, tuple(
+            (s, family if s in TOOL_STAGES.get(family, ()) else _INDIVIDUAL_CLASS[s])
+            for s in stages))
+        for family in families)
+
+
+@lru_cache(maxsize=None)
+def _park_routes(stages: Tuple[int, ...],
+                 classes: FrozenSet[str]) -> Tuple[RouteChoice, ...]:
+    return tuple(r for r in _routes(stages)
+                 if all(cls in classes for _, cls in r.stage_class))
 
 
 def route_options(job: Job) -> List[RouteChoice]:
-    """Enumerate the consistent individual/cluster routings for a job.
-
-    A job needing the pre-develop bake cannot use CEDB or CED (the bake
-    oven sits outside those tools), and CEDB is only possible when the
-    post-develop bake is actually required, since the tool always runs
-    its final bake step.
-    """
+    """Enumerate the consistent individual/cluster routings for a job."""
     _require_core_stages(job)
-    routes = [_route(job, "individual", {2: "C", 3: "E", 5: "D"})]
-    routes.append(_route(job, "CE", {2: "CE", 3: "CE", 5: "D"}))
-    if not job.needs(4):
-        routes.append(_route(job, "CED", {2: "CED", 3: "CED", 5: "CED"}))
-        if job.needs(6):
-            routes.append(
-                _route(job, "CEDB", {2: "CEDB", 3: "CEDB", 5: "CEDB", 6: "CEDB"})
-            )
-    routes.append(_route(job, "ED", {2: "C", 3: "ED", 5: "ED"}))
-    return routes
+    return list(_routes(job.stages))
+
+
+def park_routes(instance: Instance, job: Job) -> List[RouteChoice]:
+    """The job's routes the instance's park can realize: it has a machine
+    of every tool class on the route."""
+    _require_core_stages(job)
+    classes = frozenset([m.tool_class for m in instance.machines])
+    return list(_park_routes(job.stages, classes))
 
 
 def big_m(instance: Instance) -> int:

@@ -7,17 +7,9 @@ stages to it and reserves the tool for the whole span.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .core import (
-    CLUSTER_ENTRY,
-    Instance,
-    Job,
-    Machine,
-    Objective,
-    eligible_machines,
-    route_options,
-)
+from .core import CLUSTER_ENTRY, Instance, Job, Objective, park_routes
 from .evaluator import Schedule, Visit, objective_value
 
 
@@ -43,30 +35,21 @@ class JobOrder:
 
 def cluster_affinity(instance: Instance, job: Job) -> int:
     """Number of cluster machines the job could be routed through."""
-    classes = set()
-    for route in route_options(job):
-        for _, cls in route.stage_class:
-            if cls in CLUSTER_ENTRY:
-                classes.add(cls)
-    return sum(1 for m in instance.machines if m.tool_class in classes)
+    families = {route.family for route in park_routes(instance, job)}
+    return sum(1 for m in instance.machines
+               if m.is_cluster and m.tool_class in families)
 
 
-def _candidates(instance: Instance, job: Job, stage: int,
-                used_individual_coat: bool) -> List[Machine]:
-    """Machines the job may commit to when it reaches `stage` uncovered."""
-    out = []
-    for machine in eligible_machines(instance, stage):
-        cls = machine.tool_class
-        if cls in CLUSTER_ENTRY:
-            if CLUSTER_ENTRY[cls] != stage:
-                continue  # clusters are entered at their first covered stage
-            if cls in ("CEDB", "CED") and job.needs(4):
-                continue
-            if cls == "CEDB" and not job.needs(6):
-                continue
-            if cls == "ED" and not used_individual_coat:
-                continue
-        out.append(machine)
+def _entry_classes(instance: Instance, job: Job) -> Dict[int, Set[str]]:
+    """Per needed stage, the tool classes the job may commit to when it
+    reaches the stage uncovered: those that begin there a route the park
+    realizes.  An individual class begins at every stage it serves, a
+    cluster only at its entry stage."""
+    out: Dict[int, Set[str]] = {s: set() for s in job.stages}
+    for route in park_routes(instance, job):
+        for s, cls in route.stage_class:
+            if CLUSTER_ENTRY.get(cls, s) == s:
+                out[s].add(cls)
     return out
 
 
@@ -74,7 +57,7 @@ class _JobSteps(NamedTuple):
     ready: int
     due: int
     weight: int
-    steps: tuple  # (stage, duration, (candidates, candidates after an individual coat))
+    steps: tuple  # (stage, duration, candidates)
 
 
 class Decoder:
@@ -82,10 +65,9 @@ class Decoder:
 
     Each job is reduced to its ready time, due date, weight and a tuple of
     (stage, duration, candidates) steps, where candidates holds the
-    machines the job may commit to at that stage, first without and then
-    with an individual coat behind it.  A candidate is (machine index,
-    later covered stages of a cluster), pre-sorted by the tie-break: more
-    covered stages first, then machine id.  `score` and `schedule` share
+    machines the job may commit to at that stage.  A candidate is (machine
+    index, later covered stages of a cluster), pre-sorted by the tie-break:
+    more covered stages first, then machine id.  `score` and `schedule` share
     one placement loop, so both apply the same greedy rule.
     """
 
@@ -96,29 +78,22 @@ class Decoder:
                                    if s > CLUSTER_ENTRY[m.tool_class])
                               if m.is_cluster else ())
                    for k, m in enumerate(machines)}
-        ranked = [entries[m.id] for m in
-                  sorted(machines, key=lambda m: (-len(m.covered_stages), m.id))]
+        ranked = sorted(machines, key=lambda m: (-len(m.covered_stages), m.id))
 
-        def ranked_candidates(job: Job, stage: int, coat: bool):
-            allowed = {entries[m.id] for m in _candidates(instance, job, stage, coat)}
-            return tuple(e for e in ranked if e in allowed)
-
-        # (stage, needs-4, needs-6) -> candidates without / with an
-        # individual coat, the only job facts the routing rules read.
-        table: Dict[Tuple[int, bool, bool], tuple] = {}
+        # Needed stages -> candidates per stage, the only job fact the
+        # routing rules read.
+        table: Dict[Tuple[int, ...], tuple] = {}
         self._jobs: Dict[str, _JobSteps] = {}
         for job in instance.jobs:
-            needs = (job.needs(4), job.needs(6))
-            steps = []
-            for s in job.stages:
-                options = table.get((s,) + needs)
-                if options is None:
-                    plain = ranked_candidates(job, s, False)
-                    # The coat flag is set at stage 2, so earlier stages never read it.
-                    options = table[(s,) + needs] = (
-                        plain, plain if s <= 2 else ranked_candidates(job, s, True))
-                steps.append((s, job.duration(s), options))
-            self._jobs[job.id] = _JobSteps(job.ready, job.due, job.weight, tuple(steps))
+            stages = job.stages
+            options = table.get(stages)
+            if options is None:
+                classes = _entry_classes(instance, job)
+                options = table[stages] = tuple(
+                    tuple(entries[m.id] for m in ranked if m.tool_class in classes[s])
+                    for s in stages)
+            steps = tuple(zip(stages, map(job.duration, stages), options))
+            self._jobs[job.id] = _JobSteps(job.ready, job.due, job.weight, steps)
 
     def score(self, order: Sequence[str], kind: Objective) -> int:
         """Objective value of the order's decoded schedule, without building it."""
@@ -161,14 +136,13 @@ class Decoder:
             job = self._jobs[job_id]
             prev, steps = job.ready, job.steps
             held, held_stages = -1, ()  # cluster the job is committed to
-            coat = 0  # 1 once stage 2 ran on an individual coater
             for stage, duration, options in steps:
                 if stage in held_stages:
                     mk = held  # tool already held by this job
                     start = prev
                 else:
                     mk = -1
-                    for k, later in options[coat]:
+                    for k, later in options:
                         t = free[k]
                         if t < prev:
                             t = prev
@@ -181,8 +155,6 @@ class Decoder:
                             f"no eligible machine for job {job_id} stage {stage}")
                     if covered:
                         held, held_stages = mk, covered
-                    elif stage == 2:
-                        coat = 1
                 prev = start + duration
                 free[mk] = prev
                 if visits is not None:

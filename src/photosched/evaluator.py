@@ -10,16 +10,9 @@ the cluster routing rules.
 import csv
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .core import (
-    CLUSTER_ENTRY,
-    STAGES,
-    Instance,
-    Job,
-    Machine,
-    Objective,
-)
+from .core import CLUSTER_ENTRY, STAGES, Instance, Job, Objective, route_options
 
 Visit = Tuple[str, int]  # (job id, stage)
 
@@ -264,11 +257,12 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
             machine = instance.machine(mid)
             if not machine.is_cluster:
                 continue
-            if machine.tool_class in ("CEDB", "CED") and job.needs(4):
-                out.append(Violation("ForbiddenAssign",
-                                     f"job {job.id} needs stage 4 but is on {machine.tool_class} machine {mid}"))
             entry = CLUSTER_ENTRY[machine.tool_class]
             if s == entry:
+                if machine.tool_class not in {r.family for r in route_options(job)}:
+                    out.append(Violation("ForbiddenAssign",
+                                         f"job {job.id} may not route through "
+                                         f"{machine.tool_class} machine {mid}"))
                 for cov in machine.covered_stages:
                     if cov == entry:
                         continue

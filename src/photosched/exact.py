@@ -18,13 +18,15 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import (
+    CLUSTER_BARS,
     CLUSTER_ENTRY,
     STAGES,
+    TOOL_STAGES,
     Instance,
-    Job,
     Objective,
     big_m,
     eligible_machines,
+    park_routes,
 )
 from .evaluator import Schedule, Visit, earliest_completion, objective_value
 
@@ -175,14 +177,11 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
             model.add(f"assign_{tag}_{s}_{job.id}", coeffs, "=",
                       1 if job.needs(s) else 0)
 
-    # Cluster-stay equalities and the whole-span busy pairs.
-    span_specs = [
-        ("CEDB", (3, 5, 6), 2, 6),
-        ("CED", (3, 5), 2, 5),
-        ("CE", (3,), 2, 3),
-        ("ED", (5,), 3, 5),
-    ]
-    for cls, linked, entry, exit_stage in span_specs:
+    # Cluster-stay equalities and the whole-span busy pairs, widest span first.
+    clusters = sorted(CLUSTER_ENTRY, key=lambda cls: -len(TOOL_STAGES[cls]))
+    for cls in clusters:
+        covered = TOOL_STAGES[cls]
+        entry, linked, exit_stage = covered[0], covered[1:], covered[-1]
         for m in instance.machines_of_class(cls):
             for job in jobs:
                 coeffs = {_xvar(s, m.id, job.id): 1.0 for s in linked}
@@ -203,15 +202,18 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
                            y: -M, xk: -M, xl: -M},
                           ">=", pl - 3 * M)
 
-    # A job needing the pre-develop bake may not use CEDB or CED.
-    cluster_blocked = (instance.machines_of_class("CEDB")
-                       + instance.machines_of_class("CED"))
-    for oven in instance.machines_of_class("B"):
-        for mc in cluster_blocked:
-            for job in jobs:
-                model.add(f"bake_route_{oven.id}_{mc.id}_{job.id}",
-                          {_xvar(4, oven.id, job.id): 1, _xvar(2, mc.id, job.id): 1},
-                          "<=", 1)
+    # A job needing a stage that bars a cluster (the pre-develop bake) may
+    # not enter it.
+    for bar in sorted({s for bars in CLUSTER_BARS.values() for s in bars}):
+        barred = [mc for cls in clusters if bar in CLUSTER_BARS[cls]
+                  for mc in instance.machines_of_class(cls)]
+        for oven in stage_machines[bar]:
+            for mc in barred:
+                for job in jobs:
+                    model.add(f"bake_route_{oven.id}_{mc.id}_{job.id}",
+                              {_xvar(bar, oven.id, job.id): 1,
+                               _xvar(CLUSTER_ENTRY[mc.tool_class], mc.id, job.id): 1},
+                              "<=", 1)
 
     # Oven reentry: stage-4 and stage-6 visits share one timeline.
     for oven in instance.machines_of_class("B"):
@@ -347,15 +349,6 @@ def check_values(model: MilpModel, values: Dict[str, float],
 # ---------------------------------------------------------------------------
 # Internal model with per-reservation precedence binaries
 
-def _route_valid(machine, job: Job) -> bool:
-    cls = machine.tool_class
-    if cls == "CEDB":
-        return not job.needs(4) and job.needs(6)
-    if cls == "CED":
-        return not job.needs(4)
-    return True
-
-
 def _disjunctive_model(instance: Instance, kind: Objective,
                        shared_precedence: bool) -> MilpModel:
     M = big_m(instance)
@@ -384,17 +377,16 @@ def _disjunctive_model(instance: Instance, kind: Objective,
     for job in jobs:
         for s in job.stages:
             x_options[(job.id, s)] = []
+    families = {job.id: {r.family for r in park_routes(instance, job)}
+                for job in jobs}
     for machine in instance.machines:
         occupations[machine.id] = []
         for job in jobs:
             if machine.is_cluster:
-                if not _route_valid(machine, job):
+                if machine.tool_class not in families[job.id]:
                     continue
-                entry = CLUSTER_ENTRY[machine.tool_class]
-                covered = [s for s in machine.covered_stages if job.needs(s)]
-                if entry not in covered:
-                    continue
-                xname = _xvar(entry, machine.id, job.id)
+                covered = machine.covered_stages
+                xname = _xvar(covered[0], machine.id, job.id)
                 model.binary.append(xname)
                 for s in covered:
                     x_options[(job.id, s)].append(xname)

@@ -7,10 +7,12 @@ evaluator.  Only practical for very small instances.
 """
 
 import itertools
+import math
 from typing import Dict, List, Optional, Tuple
 
 from photosched.core import (
     CLUSTER_ENTRY,
+    TOOL_STAGES,
     Instance,
     Job,
     Objective,
@@ -19,7 +21,6 @@ from photosched.core import (
 )
 from photosched.evaluator import (
     CyclicSequenceError,
-    Schedule,
     earliest_completion,
     objective_value,
 )
@@ -40,7 +41,7 @@ def _route_assignments(instance: Instance, job: Job):
                 yield dict((s, mid) for s, mid in combo)
         else:
             cluster_stages = [s for s in stages
-                              if s in _family_stages(route.family)]
+                              if s in TOOL_STAGES[route.family]]
             outside = [s for s in stages if s not in cluster_stages]
             cluster_machines = [m for m in instance.machines
                                 if m.tool_class == route.family]
@@ -55,11 +56,6 @@ def _route_assignments(instance: Instance, job: Job):
                     full = dict(base)
                     full.update((s, mid) for s, mid in combo)
                     yield full
-
-
-def _family_stages(family: str) -> Tuple[int, ...]:
-    return {"CE": (2, 3), "CED": (2, 3, 5), "CEDB": (2, 3, 5, 6),
-            "ED": (3, 5)}[family]
 
 
 def _canonical(instance: Instance, assign: Dict) -> Tuple:
@@ -77,9 +73,17 @@ def _canonical(instance: Instance, assign: Dict) -> Tuple:
     return tuple(out)
 
 
-def _machine_sequences(instance: Instance, assign: Dict):
-    """Yield sequence dicts {machine_id -> visit order} over all
-    interleavings of the visits placed on each machine."""
+def _in_flow_order(order) -> bool:
+    last: Dict[str, int] = {}
+    for job_id, stage in order:
+        if last.get(job_id, 0) > stage:
+            return False
+        last[job_id] = stage
+    return True
+
+
+def _machine_orders(instance: Instance, assign: Dict):
+    """Machine ids and, per machine, every order of its reservations."""
     by_machine: Dict[str, List[Tuple[str, int]]] = {}
     for (job_id, stage), mid in assign.items():
         machine = instance.machine(mid)
@@ -89,7 +93,16 @@ def _machine_sequences(instance: Instance, assign: Dict):
                 continue
         by_machine.setdefault(mid, []).append((job_id, stage))
     ids = sorted(by_machine)
-    perms = [list(itertools.permutations(by_machine[mid])) for mid in ids]
+    # A job visiting one machine twice (the bake ovens) must visit it in flow
+    # order; any other order is a cycle, so it is not generated.
+    return ids, [[p for p in itertools.permutations(by_machine[mid])
+                  if _in_flow_order(p)] for mid in ids]
+
+
+def _machine_sequences(instance: Instance, assign: Dict):
+    """Yield sequence dicts {machine_id -> visit order} over all
+    interleavings of the visits placed on each machine."""
+    ids, perms = _machine_orders(instance, assign)
     for combo in itertools.product(*perms):
         seq: Dict[str, List[Tuple[str, int]]] = {}
         for mid, order in zip(ids, combo):
@@ -106,9 +119,9 @@ def _machine_sequences(instance: Instance, assign: Dict):
         yield seq
 
 
-def brute_force(instance: Instance) -> Dict[Objective, int]:
-    """Exhaustive optimum for all three objectives at once."""
-    best: Dict[Objective, Optional[int]] = {k: None for k in Objective}
+def _assignments(instance: Instance):
+    """Yield every assignment of the jobs' visits to machines once, up to
+    permutations of identical machines."""
     per_job = [list(_route_assignments(instance, job)) for job in instance.jobs]
     seen_assignments = set()
     for combo in itertools.product(*per_job):
@@ -120,6 +133,21 @@ def brute_force(instance: Instance) -> Dict[Objective, int]:
         if key in seen_assignments:
             continue
         seen_assignments.add(key)
+        yield assign
+
+
+def search_size(instance: Instance) -> int:
+    """Number of (assignment, machine sequences) candidates `brute_force`
+    times.  It is positive exactly when a schedule exists: ordering every
+    machine by job, each job's visits in flow order, is never cyclic."""
+    return sum(math.prod(len(p) for p in _machine_orders(instance, assign)[1])
+               for assign in _assignments(instance))
+
+
+def brute_force(instance: Instance) -> Dict[Objective, int]:
+    """Exhaustive optimum for all three objectives at once."""
+    best: Dict[Objective, Optional[int]] = {k: None for k in Objective}
+    for assign in _assignments(instance):
         for sequences in _machine_sequences(instance, assign):
             try:
                 schedule = earliest_completion(instance, assign, sequences)

@@ -1,11 +1,13 @@
 """Command-line interface end-to-end flows."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from photosched import exact
 from photosched.cli import dispatch
-from photosched.core import Instance, Job, load_instance, save_instance
+from photosched.core import load_instance
 from photosched.instgen import equipment
 
 
@@ -140,11 +142,25 @@ def test_solve_rejects_job_without_develop(instance_path, capsys):
     assert "error:" in err and data["jobs"][0]["id"] in err
 
 
-def test_solve_exact_reports_infeasible_model(tmp_path, capsys):
-    machines = tuple(m for m in equipment(2) if m.tool_class not in ("C", "D"))
+# Park 2 without C and D tools leaves a job needing the pre-develop bake no
+# route; SP and GA used to end in a DecodeError traceback on such a file.
+@pytest.mark.parametrize("alg", ["sp", "ga", "exact"])
+def test_solve_rejects_job_without_route(tmp_path, capsys, alg):
+    machines = [m for m in equipment(2) if m.tool_class not in ("C", "D")]
     path = tmp_path / "no-route.json"
-    save_instance(Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),),
-                           machines=machines), path)
-    code, _, err = run(capsys, "solve", str(path), "--alg", "exact")
+    path.write_text(json.dumps({
+        "version": 1, "label": "",
+        "machines": [{"id": m.id, "class": m.tool_class} for m in machines],
+        "jobs": [{"id": "J1", "p": [40, 20, 75, 45, 30, 45], "r": 0, "d": 0, "w": 1}],
+    }))
+    code, _, err = run(capsys, "solve", str(path), "--alg", alg)
+    assert code == 1
+    assert "error:" in err and "J1" in err
+
+
+def test_solve_exact_reports_infeasible_model(instance_path, capsys, monkeypatch):
+    infeasible = SimpleNamespace(status=2, message="infeasible", x=None)
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: infeasible)
+    code, _, err = run(capsys, "solve", str(instance_path), "--alg", "exact")
     assert code == 1
     assert "model is infeasible" in err

@@ -137,12 +137,12 @@ def test_instance_rejects_job_without_coat_expose_or_develop(p):
 def test_route_stage_class_mapping():
     job = make_job((40, 20, 75, 0, 30, 45))
     by_family = {r.family: r for r in route_options(job)}
-    ced = by_family["CED"]
-    assert ced.tool_class_for(2) == "CED"
-    assert ced.tool_class_for(6) == "B"
-    ed = by_family["ED"]
-    assert ed.tool_class_for(2) == "C"  # ED requires an individual coater
-    assert ed.tool_class_for(3) == "ED"
+    ced = dict(by_family["CED"].stage_class)
+    assert ced[2] == "CED"
+    assert ced[6] == "B"
+    ed = dict(by_family["ED"].stage_class)
+    assert ed[2] == "C"  # ED requires an individual coater
+    assert ed[3] == "ED"
     assert by_family["individual"].stages == job.stages
 
 

@@ -11,7 +11,7 @@ from photosched.decoder import (
     DecodeError,
     Decoder,
     JobOrder,
-    _candidates,
+    _entry_classes,
     cluster_affinity,
     decode,
 )
@@ -123,13 +123,13 @@ def reference_schedule(instance, order):
     for job_id in order:
         job = instance.job(job_id)
         committed = {}  # covered stages from a cluster pick
-        used_individual_coat = False
         prev_c = job.ready
         for stage in job.stages:
             if stage in committed:
                 mid, start = committed[stage], prev_c
             else:
-                cands = _candidates(instance, job, stage, used_individual_coat)
+                classes = _entry_classes(instance, job)[stage]
+                cands = [m for m in instance.machines if m.tool_class in classes]
                 best = min(cands, key=lambda m: (max(free[m.id], prev_c),
                                                  -len(m.covered_stages), m.id))
                 mid = best.id
@@ -137,8 +137,6 @@ def reference_schedule(instance, order):
                 if best.is_cluster:
                     committed.update((cov, mid) for cov in best.covered_stages
                                      if cov > stage)
-                elif stage == 2:
-                    used_individual_coat = True
             completion[(job_id, stage)] = free[mid] = prev_c = start + job.duration(stage)
             assign[(job_id, stage)] = mid
             sequences[mid].append((job_id, stage))

@@ -146,15 +146,19 @@ def test_solver_timeout_reports_incumbent_or_none():
         assert result.value is not None
 
 
-def no_route_instance():
+def test_instance_without_route_is_rejected():
     # Park 2 without C and D tools: a job needing the pre-develop bake can
     # use neither CED/CEDB (oven outside) nor CE (no D) nor ED (no C).
     machines = tuple(m for m in equipment(2) if m.tool_class not in ("C", "D"))
-    return Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
+    with pytest.raises(ValueError, match="job J1"):
+        Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
 
 
-def test_solve_exact_reports_infeasible_model():
-    result = solve_exact(no_route_instance(), Objective.CMAX, time_limit=10)
+def test_solve_exact_reports_infeasible_model(monkeypatch):
+    infeasible = SimpleNamespace(status=2, message="infeasible", x=None)
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: infeasible)
+    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    result = solve_exact(inst, Objective.CMAX, time_limit=10)
     assert (result.status, result.schedule, result.value) == (INFEASIBLE, None, None)
 
 
