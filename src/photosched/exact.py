@@ -4,12 +4,16 @@
 shared precedence binaries per job pair, assignment binaries per eligible
 (stage, machine) pair, completion variables per (stage, job).
 
-`solve_exact` optimizes a tighter internal variant of the same model in
-which precedence binaries are indexed per machine reservation pair, so
-that different resources may order the same two jobs differently.  It is
-solved with the HiGHS branch-and-bound backend behind scipy.
+`solve_exact` optimizes a relaxation of that model in which precedence
+binaries are indexed per machine reservation pair, so that different
+resources may order the same two jobs differently (passing); only the
+relaxation's optima equal exhaustive enumeration.  When its optimum
+passes, the literal model is solved once more for an order-consistent
+schedule of equal value.  Both are solved with the HiGHS
+branch-and-bound backend behind scipy.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +27,7 @@ from .core import (
     STAGES,
     TOOL_STAGES,
     Instance,
+    Job,
     Objective,
     big_m,
     eligible_machines,
@@ -101,8 +106,53 @@ def _yvar(k: str, l: str) -> str:
     return f"y_{k}_{l}"
 
 
+# A job's reservation of one machine from its entry to its exit stage:
+# (completion var at entry, completion var at exit, assignment var,
+#  processing time at entry).
+Reservation = Tuple[str, str, str, int]
+
+
+def _reservation(job: Job, entry: int, exit_stage: int, x: str) -> Reservation:
+    return (_cvar(entry, job.id), _cvar(exit_stage, job.id), x, job.duration(entry))
+
+
+def _either_order(M: int, y: str, first: Reservation, second: Reservation):
+    """The big-M pair keeping two reservations of one machine apart.
+
+    Returns two (coefficients, sense, rhs) rows, both slack unless both
+    assignment variables are 1.  The first makes `first` start after
+    `second` ends when y = 0; the second makes `second` start after
+    `first` ends when y = 1.
+    """
+    (ck, dk, xk, pk), (cl, dl, xl, pl) = first, second
+    return (({ck: 1, dl: -1, y: M, xk: -M, xl: -M}, ">=", pk - 2 * M),
+            ({cl: 1, dk: -1, y: -M, xk: -M, xl: -M}, ">=", pl - 3 * M))
+
+
+def _add_chain(model: MilpModel, job: Job, stages: Tuple[int, ...]) -> None:
+    """The job's ready row at its first stage and a chain row per later one."""
+    first = stages[0]
+    model.add(f"ready_{job.id}", {_cvar(first, job.id): 1}, ">=",
+              job.duration(first) + job.ready)
+    for prev, s in zip(stages, stages[1:]):
+        model.add(f"chain_{s}_{job.id}",
+                  {_cvar(s, job.id): 1, _cvar(prev, job.id): -1},
+                  ">=", job.duration(s))
+
+
+def _add_objective_link(model: MilpModel, job: Job, last: int) -> None:
+    """CMAX >= C (cmax) or T >= C - due (twt), C the job's completion at `last`."""
+    if model.kind == Objective.CMAX:
+        model.add(f"cmax_link_{job.id}",
+                  {"CMAX": 1, _cvar(last, job.id): -1}, ">=", 0)
+    elif model.kind == Objective.TWT:
+        model.add(f"tardy_{job.id}",
+                  {f"T_{job.id}": 1, _cvar(last, job.id): -1}, ">=", -job.due)
+
+
 # ---------------------------------------------------------------------------
-# Literal formulation (shared precedence binaries), used for export
+# Literal formulation (shared precedence binaries), used for export and
+# for the order-consistent re-solve
 
 def export_milp(instance: Instance, kind: Objective) -> MilpModel:
     """Build the big-M formulation as a literal linear model."""
@@ -124,9 +174,10 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
         for m in stage_machines[s]:
             for job in jobs:
                 model.binary.append(_xvar(s, m.id, job.id))
-    pairs = [(a.id, b.id) for i, a in enumerate(jobs) for b in jobs[i + 1:]]
-    for k, l in pairs:
-        model.binary.append(_yvar(k, l))
+    # Job pairs with their precedence binary; y = 1 puts k first.
+    pairs = [(a.id, b.id, _yvar(a.id, b.id))
+             for i, a in enumerate(jobs) for b in jobs[i + 1:]]
+    model.binary.extend(y for _, _, y in pairs)
 
     if kind == Objective.CMAX:
         model.objective = {"CMAX": 1.0}
@@ -136,37 +187,19 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
         model.objective = {f"T_{j.id}": float(j.weight) for j in jobs}
 
     for job in jobs:
-        model.add(f"ready_{job.id}", {_cvar(1, job.id): 1}, ">=",
-                  job.duration(1) + job.ready)
-        for s in STAGES[1:]:
-            model.add(f"chain_{s}_{job.id}",
-                      {_cvar(s, job.id): 1, _cvar(s - 1, job.id): -1},
-                      ">=", job.duration(s))
+        _add_chain(model, job, STAGES)
 
     # Machine exclusivity at every stage on every eligible machine.
     for s in STAGES:
         for m in stage_machines[s]:
-            for k, l in pairs:
-                pk = instance.job(k).duration(s)
-                pl = instance.job(l).duration(s)
-                xk = _xvar(s, m.id, k)
-                xl = _xvar(s, m.id, l)
-                y = _yvar(k, l)
-                model.add(f"no_clash_a_{s}_{m.id}_{k}_{l}",
-                          {_cvar(s, k): 1, _cvar(s, l): -1, y: M, xk: -M, xl: -M},
-                          ">=", pk - 2 * M)
-                model.add(f"no_clash_b_{s}_{m.id}_{k}_{l}",
-                          {_cvar(s, l): 1, _cvar(s, k): -1, y: -M, xk: -M, xl: -M},
-                          ">=", pl - 3 * M)
+            held = {j.id: _reservation(j, s, s, _xvar(s, m.id, j.id)) for j in jobs}
+            for k, l, y in pairs:
+                k_waits, l_waits = _either_order(M, y, held[k], held[l])
+                model.add(f"no_clash_a_{s}_{m.id}_{k}_{l}", *k_waits)
+                model.add(f"no_clash_b_{s}_{m.id}_{k}_{l}", *l_waits)
 
-    if kind == Objective.CMAX:
-        for job in jobs:
-            model.add(f"cmax_link_{job.id}",
-                      {"CMAX": 1, _cvar(last, job.id): -1}, ">=", 0)
-    elif kind == Objective.TWT:
-        for job in jobs:
-            model.add(f"tardy_{job.id}",
-                      {f"T_{job.id}": 1, _cvar(last, job.id): -1}, ">=", -job.due)
+    for job in jobs:
+        _add_objective_link(model, job, last)
 
     for s in STAGES:
         for job in jobs:
@@ -187,20 +220,12 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
                 coeffs = {_xvar(s, m.id, job.id): 1.0 for s in linked}
                 coeffs[_xvar(entry, m.id, job.id)] = -float(len(linked))
                 model.add(f"stay_{cls.lower()}_{m.id}_{job.id}", coeffs, "=", 0)
-            for k, l in pairs:
-                pk = instance.job(k).duration(entry)
-                pl = instance.job(l).duration(entry)
-                xk = _xvar(entry, m.id, k)
-                xl = _xvar(entry, m.id, l)
-                y = _yvar(k, l)
-                model.add(f"busy_{cls.lower()}_a_{m.id}_{k}_{l}",
-                          {_cvar(entry, k): 1, _cvar(exit_stage, l): -1,
-                           y: M, xk: -M, xl: -M},
-                          ">=", pk - 2 * M)
-                model.add(f"busy_{cls.lower()}_b_{m.id}_{k}_{l}",
-                          {_cvar(entry, l): 1, _cvar(exit_stage, k): -1,
-                           y: -M, xk: -M, xl: -M},
-                          ">=", pl - 3 * M)
+            held = {j.id: _reservation(j, entry, exit_stage, _xvar(entry, m.id, j.id))
+                    for j in jobs}
+            for k, l, y in pairs:
+                k_waits, l_waits = _either_order(M, y, held[k], held[l])
+                model.add(f"busy_{cls.lower()}_a_{m.id}_{k}_{l}", *k_waits)
+                model.add(f"busy_{cls.lower()}_b_{m.id}_{k}_{l}", *l_waits)
 
     # A job needing a stage that bars a cluster (the pre-develop bake) may
     # not enter it.
@@ -217,23 +242,13 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
 
     # Oven reentry: stage-4 and stage-6 visits share one timeline.
     for oven in instance.machines_of_class("B"):
-        for k, l in pairs:
-            jk, jl = instance.job(k), instance.job(l)
-            y = _yvar(k, l)
-            x4k, x6k = _xvar(4, oven.id, k), _xvar(6, oven.id, k)
-            x4l, x6l = _xvar(4, oven.id, l), _xvar(6, oven.id, l)
-            model.add(f"reentry_a_{oven.id}_{k}_{l}",
-                      {_cvar(4, k): 1, _cvar(6, l): -1, y: M, x4k: -M, x6l: -M},
-                      ">=", jk.duration(4) - 2 * M)
-            model.add(f"reentry_b_{oven.id}_{k}_{l}",
-                      {_cvar(6, l): 1, _cvar(4, k): -1, y: -M, x4k: -M, x6l: -M},
-                      ">=", jl.duration(6) - 3 * M)
-            model.add(f"reentry_c_{oven.id}_{k}_{l}",
-                      {_cvar(6, k): 1, _cvar(4, l): -1, y: M, x6k: -M, x4l: -M},
-                      ">=", jk.duration(6) - 2 * M)
-            model.add(f"reentry_d_{oven.id}_{k}_{l}",
-                      {_cvar(4, l): 1, _cvar(6, k): -1, y: -M, x6k: -M, x4l: -M},
-                      ">=", jl.duration(4) - 3 * M)
+        held = {(j.id, s): _reservation(j, s, s, _xvar(s, oven.id, j.id))
+                for j in jobs for s in (4, 6)}
+        for k, l, y in pairs:
+            rows = (_either_order(M, y, held[k, 4], held[l, 6])
+                    + _either_order(M, y, held[k, 6], held[l, 4]))
+            for tag, row in zip("abcd", rows):
+                model.add(f"reentry_{tag}_{oven.id}_{k}_{l}", *row)
     return model
 
 
@@ -243,8 +258,7 @@ def write_lp(model: MilpModel) -> str:
     lines.append(" obj: " + _lp_terms(sorted(model.objective.items())))
     lines.append("Subject To")
     for row in model.constraints:
-        op = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-        lines.append(f" {row.name}: {_lp_terms(row.coeffs)} {op} {_num(row.rhs)}")
+        lines.append(f" {row.name}: {_lp_terms(row.coeffs)} {row.sense} {_num(row.rhs)}")
     lines.append("Bounds")
     for v in model.continuous:
         lines.append(f" 0 <= {v}")
@@ -349,8 +363,7 @@ def check_values(model: MilpModel, values: Dict[str, float],
 # ---------------------------------------------------------------------------
 # Internal model with per-reservation precedence binaries
 
-def _disjunctive_model(instance: Instance, kind: Objective,
-                       shared_precedence: bool) -> MilpModel:
+def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
     jobs = list(instance.jobs)
@@ -372,8 +385,8 @@ def _disjunctive_model(instance: Instance, kind: Objective,
     # Assignment variables; cluster machines get one committing variable at
     # their entry stage, with the covered stages tied to it.
     x_options: Dict[Visit, List[str]] = {}
-    occupations: Dict[str, List[Tuple[str, int, int, str]]] = {}
-    # machine -> list of (job, entry stage, exit stage, controlling x var)
+    # machine -> (job id, exit stage, reservation) per possible reservation
+    occupations: Dict[str, List[Tuple[str, int, Reservation]]] = {}
     for job in jobs:
         for s in job.stages:
             x_options[(job.id, s)] = []
@@ -390,7 +403,8 @@ def _disjunctive_model(instance: Instance, kind: Objective,
                 model.binary.append(xname)
                 for s in covered:
                     x_options[(job.id, s)].append(xname)
-                occupations[machine.id].append((job.id, covered[0], covered[-1], xname))
+                occupations[machine.id].append(
+                    (job.id, covered[-1], _reservation(job, covered[0], covered[-1], xname)))
             else:
                 for s in machine.covered_stages:
                     if not job.needs(s):
@@ -398,68 +412,27 @@ def _disjunctive_model(instance: Instance, kind: Objective,
                     xname = _xvar(s, machine.id, job.id)
                     model.binary.append(xname)
                     x_options[(job.id, s)].append(xname)
-                    occupations[machine.id].append((job.id, s, s, xname))
+                    occupations[machine.id].append((job.id, s, _reservation(job, s, s, xname)))
 
+    # Instance validation guarantees every needed stage an option.
     for (job_id, s), options in x_options.items():
-        if not options:
-            raise ValueError(f"no machine available for job {job_id} stage {s}")
         model.add(f"assign_{s}_{job_id}", {x: 1.0 for x in options}, "=", 1)
 
     for job in jobs:
-        prev = None
-        for s in job.stages:
-            if prev is None:
-                model.add(f"release_{job.id}", {_cvar(s, job.id): 1}, ">=",
-                          job.duration(s) + job.ready)
-            else:
-                model.add(f"chain_{s}_{job.id}",
-                          {_cvar(s, job.id): 1, _cvar(prev, job.id): -1},
-                          ">=", job.duration(s))
-            prev = s
-        last = job.stages[-1]
-        if kind == Objective.CMAX:
-            model.add(f"cmax_link_{job.id}",
-                      {"CMAX": 1, _cvar(last, job.id): -1}, ">=", 0)
-        elif kind == Objective.TWT:
-            model.add(f"tardy_{job.id}",
-                      {f"T_{job.id}": 1, _cvar(last, job.id): -1}, ">=", -job.due)
-
-    shared_y: Dict[Tuple[str, str], str] = {}
-
-    def precedence_var(k: str, l: str, tag: str) -> str:
-        if shared_precedence:
-            a, b = (k, l) if k < l else (l, k)
-            if (a, b) not in shared_y:
-                name = _yvar(a, b)
-                shared_y[(a, b)] = name
-                model.binary.append(name)
-            return shared_y[(a, b)]
-        model.binary.append(tag)
-        return tag
+        _add_chain(model, job, job.stages)
+        _add_objective_link(model, job, job.stages[-1])
 
     for mid, occs in occupations.items():
-        for i, (k, ek, fk, xk) in enumerate(occs):
-            for l, el, fl, xl in occs[i + 1:]:
-                if k == l:
+        for i, (a, fa, front) in enumerate(occs):
+            for b, fb, back in occs[i + 1:]:
+                if a == b:
                     continue
-                if k < l or not shared_precedence:
-                    front, back = (k, ek, fk, xk), (l, el, fl, xl)
-                else:
-                    front, back = (l, el, fl, xl), (k, ek, fk, xk)
-                a, ea, fa, xa = front
-                b, eb, fb, xb = back
-                z = precedence_var(a, b, f"z_{mid}_{a}_{fa}_{b}_{fb}")
-                pa = instance.job(a).duration(ea)
-                pb = instance.job(b).duration(eb)
-                # z = 1: a's reservation precedes b's.
-                model.add(f"order_a_{mid}_{a}_{fa}_{b}_{fb}",
-                          {_cvar(eb, b): 1, _cvar(fa, a): -1,
-                           z: -M, xa: -M, xb: -M},
-                          ">=", pb - 3 * M)
-                model.add(f"order_b_{mid}_{a}_{fa}_{b}_{fb}",
-                          {_cvar(ea, a): 1, _cvar(fb, b): -1,
-                           z: M, xa: -M, xb: -M},
-                          ">=", pa - 2 * M)
+                # z = 1: front's reservation precedes back's.
+                z = f"z_{mid}_{a}_{fa}_{b}_{fb}"
+                model.binary.append(z)
+                front_waits, back_waits = _either_order(M, z, front, back)
+                model.add(f"order_a_{mid}_{a}_{fa}_{b}_{fb}", *back_waits)
+                model.add(f"order_b_{mid}_{a}_{fa}_{b}_{fb}", *front_waits)
     return model
 
 
@@ -471,7 +444,9 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
     for v, coeff in model.objective.items():
         c[index[v]] = coeff
 
-    rows, cols, data, lb, ub = [], [], [], [], []
+    # Typed arrays keep the triplets compact; scipy reads the same values.
+    rows, cols, data = array("l"), array("l"), array("d")
+    lb, ub = [], []
     for i, row in enumerate(model.constraints):
         for v, coeff in row.coeffs:
             rows.append(i)
@@ -539,13 +514,19 @@ def solve_exact(instance: Instance, kind: Objective,
     The status is OPTIMAL, TIMED_OUT (with the incumbent, if any) or
     INFEASIBLE (no schedule); any other HiGHS outcome raises SolverError.
 
-    The per-reservation precedence model is solved first; when its optimum
-    admits a schedule whose pairwise job orders disagree across machines,
-    a shared-precedence solve is attempted to recover an equally good,
-    order-consistent schedule.
+    `time_limit` is in seconds (None, 0 and inf are valid); a negative or
+    NaN limit raises ValueError.
+
+    The per-reservation precedence model, a relaxation of the literal one
+    that admits passing, is solved first.  When its optimum gives a
+    schedule whose pairwise job orders disagree across machines, the
+    literal model (`export_milp`) is solved for an order-consistent
+    schedule of equal value; if it finds none, the first schedule stands.
     """
-    model = _disjunctive_model(instance, kind, shared_precedence=False)
-    status, values = _solve_model(model, time_limit)
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
+    # The first model is freed before a re-solve builds the larger literal one.
+    status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
     if status == 0:
         schedule = _schedule_from_values(instance, values)
         value = objective_value(instance, schedule, kind)
@@ -568,9 +549,8 @@ def solve_exact(instance: Instance, kind: Objective,
 def _solve_consistent(instance: Instance, kind: Objective,
                       time_limit: Optional[float],
                       target: int) -> Optional[Schedule]:
-    model = _disjunctive_model(instance, kind, shared_precedence=True)
     try:
-        status, values = _solve_model(model, time_limit)
+        status, values = _solve_model(export_milp(instance, kind), time_limit)
     except SolverError:  # the first solve's optimum stands
         return None
     if status != 0 or values is None:

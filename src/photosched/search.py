@@ -41,6 +41,8 @@ class GAConfig:
     def __post_init__(self):
         if self.pop_size < 2:
             raise ValueError("pop_size must be >= 2")
+        if self.stall_window < 1:
+            raise ValueError("stall_window must be >= 1")
         if self.stall_window > self.max_generations:
             raise ValueError("stall_window must not exceed max_generations")
 

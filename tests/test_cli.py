@@ -164,3 +164,12 @@ def test_solve_exact_reports_infeasible_model(instance_path, capsys, monkeypatch
     code, _, err = run(capsys, "solve", str(instance_path), "--alg", "exact")
     assert code == 1
     assert "model is infeasible" in err
+
+
+@pytest.mark.parametrize("limit", ["-1", "nan"])
+def test_solve_exact_rejects_invalid_time_limit(instance_path, capsys, limit):
+    code, out, err = run(capsys, "solve", str(instance_path), "--alg", "exact",
+                         "--time-limit", limit)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "time limit" in err

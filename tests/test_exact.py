@@ -4,6 +4,8 @@ The frozen optima below were computed by the exhaustive enumeration
 helper in enumeration.py, independently of the solver under test.
 """
 
+import hashlib
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +17,7 @@ from photosched.evaluator import check_feasibility
 from photosched.exact import (
     INFEASIBLE,
     OPTIMAL,
+    TIMED_OUT,
     SolverError,
     check_values,
     export_milp,
@@ -22,7 +25,7 @@ from photosched.exact import (
     solve_exact,
     write_lp,
 )
-from photosched.instgen import GenConfig, equipment, generate_instance
+from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 from photosched.search import sp_initial_order
 
 # Enumerated optima for fixed generated instances (equipment scenario 2).
@@ -120,6 +123,27 @@ def test_model_objective_value_matches_schedule():
         assert total == result.value
 
 
+# First 16 hex digits of the SHA-256 of the LP text of generated instances
+# with mixed ready times (seed 10 n + park): (n, park) -> objective -> digest.
+GOLDEN_LP = {
+    (2, 1): {"cmax": "5a24d23083a9e8f7", "wct": "b9e1e9e6fd17ac56", "twt": "475bcd547ad0daba"},
+    (2, 2): {"cmax": "833fda34cde83470", "wct": "b22eb2562e96db61", "twt": "fe3fe8574d51c2bf"},
+    (5, 1): {"cmax": "ad7e8e1a02392de7", "wct": "69116df9f39235ef", "twt": "91c2ef0d8d58343a"},
+    (5, 2): {"cmax": "80d9e63bad679333", "wct": "567bc206aa2acc9f", "twt": "d96a55983e4f5655"},
+}
+
+
+@pytest.mark.parametrize("n,mc", sorted(GOLDEN_LP))
+def test_golden_lp_export(n, mc):
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=mc, seed=10 * n + mc))
+    assert any(job.ready for job in inst.jobs)
+    digests = {kind.value: hashlib.sha256(
+                   write_lp(export_milp(inst, kind)).encode()).hexdigest()[:16]
+               for kind in Objective}
+    assert digests == GOLDEN_LP[(n, mc)]
+
+
 def test_lp_output_shape():
     inst = generate_instance(GenConfig(n=2, equipment=2, seed=0))
     model = export_milp(inst, Objective.TWT)
@@ -168,3 +192,66 @@ def test_solve_exact_raises_on_other_highs_status(monkeypatch):
     inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
     with pytest.raises(SolverError, match="numerical trouble"):
         solve_exact(inst, Objective.CMAX)
+
+
+@pytest.mark.parametrize("limit", [-1, -0.5, math.nan])
+def test_solve_exact_rejects_invalid_time_limit(limit):
+    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    with pytest.raises(ValueError, match="time limit"):
+        solve_exact(inst, Objective.CMAX, time_limit=limit)
+
+
+def test_solve_exact_accepts_zero_and_infinite_time_limits():
+    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    assert solve_exact(inst, Objective.CMAX, time_limit=0).status in (TIMED_OUT, OPTIMAL)
+    assert solve_exact(inst, Objective.CMAX, time_limit=math.inf).status == OPTIMAL
+
+
+def passing_instance() -> Instance:
+    """Park-2 jobs whose per-reservation optimum orders J1 and J4 one way
+    on one machine and the other way on another, for cmax and twt."""
+    jobs = (Job("J1", (0, 20, 75, 45, 30, 45), due=370, weight=2),
+            Job("J2", (40, 20, 75, 45, 30, 45), due=0, weight=2),
+            Job("J3", (40, 20, 75, 0, 30, 0), due=364, weight=2),
+            Job("J4", (40, 20, 75, 45, 30, 45), due=335, weight=4),
+            Job("J5", (40, 20, 75, 0, 30, 45), due=420, weight=4))
+    return Instance(jobs=jobs, machines=tuple(equipment(2)))
+
+
+def _spy_solves(monkeypatch):
+    models = []
+    solve_model = exact._solve_model
+
+    def spy(model, time_limit):
+        models.append(model)
+        return solve_model(model, time_limit)
+
+    monkeypatch.setattr(exact, "_solve_model", spy)
+    return models
+
+
+def test_resolve_finds_order_consistent_schedule_of_equal_value(monkeypatch):
+    inst = passing_instance()
+    models = _spy_solves(monkeypatch)
+    result = solve_exact(inst, Objective.TWT)
+    assert (result.status, result.value) == (OPTIMAL, 510)
+    assert check_feasibility(inst, result.schedule) == []
+    literal = export_milp(inst, Objective.TWT)
+    assert len(models) == 2
+    assert write_lp(models[1]) == write_lp(literal)  # the re-solve ran the literal model
+    assert check_values(literal, schedule_to_values(inst, result.schedule, literal)) == []
+
+
+def test_resolve_keeps_passing_optimum_the_literal_model_cannot_reach(monkeypatch):
+    inst = passing_instance()
+    models = _spy_solves(monkeypatch)
+    result = solve_exact(inst, Objective.CMAX)
+    assert (result.status, result.value) == (OPTIMAL, 270)
+    assert check_feasibility(inst, result.schedule) == []
+    assert len(models) == 2
+    literal = export_milp(inst, Objective.CMAX)
+    with pytest.raises(ValueError, match="J1 and J4"):
+        schedule_to_values(inst, result.schedule, literal)
+    status, values = exact._solve_model(literal, None)
+    assert status == 0
+    assert round(sum(c * values[v] for v, c in literal.objective.items())) == 300

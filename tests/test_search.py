@@ -158,6 +158,9 @@ def test_ga_config_validation():
         GAConfig(pop_size=1)
     with pytest.raises(ValueError):
         GAConfig(stall_window=600, max_generations=500)
+    for window in (0, -1):  # run_ga would divide by the window in _stalled
+        with pytest.raises(ValueError, match="stall_window"):
+            GAConfig(stall_window=window)
 
 
 # Values and schedule-CSV digests (first 16 hex digits of the SHA-256) of
