@@ -128,6 +128,12 @@ class Instance:
         object.__setattr__(self, "machines", tuple(self.machines))
         jids = [j.id for j in self.jobs]
         mids = [m.id for m in self.machines]
+        # The exact layer joins ids with "_" into variable names.
+        for what, ids in (("job", jids), ("machine", mids)):
+            for i in ids:
+                if not (isinstance(i, str) and i.isascii() and i.isalnum()):
+                    raise ValueError(
+                        f"{what} id {i!r} must be made only of ASCII letters and digits")
         if len(set(jids)) != len(jids):
             raise ValueError("duplicate job ids")
         if len(set(mids)) != len(mids):

@@ -13,9 +13,10 @@ schedule of equal value.  Both are solved with the HiGHS
 branch-and-bound backend behind scipy.
 """
 
+import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -44,47 +45,64 @@ class SolverError(RuntimeError):
     """HiGHS ended without an optimum, a time limit or an infeasibility proof."""
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(NamedTuple):
     name: str
     coeffs: Tuple[Tuple[str, float], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
 
-    def evaluate(self, values: Dict[str, float]) -> float:
-        return sum(c * values[v] for v, c in self.coeffs)
-
-    def satisfied(self, values: Dict[str, float], tol: float = 1e-6) -> bool:
-        lhs = self.evaluate(values)
-        scale = 1.0 + abs(self.rhs)
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol * scale
-        if self.sense == ">=":
-            return lhs >= self.rhs - tol * scale
-        return abs(lhs - self.rhs) <= tol * scale
-
 
 @dataclass
 class MilpModel:
+    """A linear model whose rows are kept in compressed sparse row form.
+
+    Row i is named `row_names[i]`; its terms are `term_vars` and
+    `term_coefs` from `indptr[i]` up to `indptr[i + 1]`, in the order `add`
+    was given them, and it bounds their sum between `row_lower[i]` and
+    `row_upper[i]` (one of them infinite unless the row is an equality).
+    """
+
     name: str
     kind: Objective
     continuous: List[str] = field(default_factory=list)
     binary: List[str] = field(default_factory=list)
     objective: Dict[str, float] = field(default_factory=dict)
-    constraints: List[LinearRow] = field(default_factory=list)
     big_m: int = 0
+    row_names: List[str] = field(default_factory=list)
+    indptr: array = field(default_factory=lambda: array("q", [0]))
+    term_vars: List[str] = field(default_factory=list)
+    term_coefs: array = field(default_factory=lambda: array("d"))
+    row_lower: array = field(default_factory=lambda: array("d"))
+    row_upper: array = field(default_factory=lambda: array("d"))
 
     @property
     def counts(self) -> Tuple[int, int, int, int]:
         """(constraints, continuous vars, binary vars, total vars)."""
         nc = len(self.continuous)
         nb = len(self.binary)
-        return (len(self.constraints), nc, nb, nc + nb)
+        return (len(self.row_names), nc, nb, nc + nb)
 
     def add(self, name: str, coeffs: Dict[str, float], sense: str, rhs: float) -> None:
-        self.constraints.append(
-            LinearRow(name, tuple(sorted(coeffs.items())), sense, float(rhs))
-        )
+        rhs = float(rhs)
+        self.row_names.append(name)
+        self.term_vars.extend(coeffs)
+        self.term_coefs.extend(coeffs.values())
+        self.indptr.append(len(self.term_vars))
+        self.row_lower.append(-np.inf if sense == "<=" else rhs)
+        self.row_upper.append(np.inf if sense == ">=" else rhs)
+
+    @property
+    def constraints(self) -> Tuple[LinearRow, ...]:
+        """The rows as `LinearRow`s with their terms sorted by variable name."""
+        rows = []
+        terms = list(zip(self.term_vars, self.term_coefs))
+        for name, start, end, lo, up in zip(self.row_names, self.indptr,
+                                            self.indptr[1:], self.row_lower,
+                                            self.row_upper):
+            coeffs = tuple(sorted(terms[start:end]))
+            sense = "=" if lo == up else (">=" if up == np.inf else "<=")
+            rows.append(LinearRow(name, coeffs, sense, up if lo == -np.inf else lo))
+        return tuple(rows)
 
 
 @dataclass
@@ -356,8 +374,20 @@ def _pair_orders(instance: Instance, schedule: Schedule) -> Dict[Tuple[str, str]
 
 def check_values(model: MilpModel, values: Dict[str, float],
                  tol: float = 1e-6) -> List[str]:
-    """Names of constraints the variable assignment violates."""
-    return [row.name for row in model.constraints if not row.satisfied(values, tol)]
+    """Names of constraints the variable assignment violates, in row order.
+
+    A row holds when its sum lies within its bounds widened by
+    tol * (1 + |rhs|).
+    """
+    nnz = len(model.term_vars)
+    x = np.fromiter(map(values.__getitem__, model.term_vars), float, count=nnz)
+    row_of = np.repeat(np.arange(len(model.row_names)), np.diff(model.indptr))
+    lhs = np.bincount(row_of, weights=np.array(model.term_coefs) * x,
+                      minlength=len(model.row_names))
+    lower, upper = np.array(model.row_lower), np.array(model.row_upper)
+    slack = tol * (1.0 + np.abs(np.where(lower == -np.inf, upper, lower)))
+    ok = (lhs >= lower - slack) & (lhs <= upper + slack)
+    return [model.row_names[i] for i in np.flatnonzero(~ok)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,41 +474,27 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
     for v, coeff in model.objective.items():
         c[index[v]] = coeff
 
-    # Typed arrays keep the triplets compact; scipy reads the same values.
-    rows, cols, data = array("l"), array("l"), array("d")
-    lb, ub = [], []
-    for i, row in enumerate(model.constraints):
-        for v, coeff in row.coeffs:
-            rows.append(i)
-            cols.append(index[v])
-            data.append(coeff)
-        if row.sense == ">=":
-            lb.append(row.rhs)
-            ub.append(np.inf)
-        elif row.sense == "<=":
-            lb.append(-np.inf)
-            ub.append(row.rhs)
-        else:
-            lb.append(row.rhs)
-            ub.append(row.rhs)
-    A = sparse.csr_matrix((data, (rows, cols)),
-                          shape=(len(model.constraints), n))
+    cols = np.fromiter(map(index.__getitem__, model.term_vars), np.int64,
+                       count=len(model.term_vars))
+    A = sparse.csr_matrix((np.array(model.term_coefs), cols, np.array(model.indptr)),
+                          shape=(len(model.row_names), n))
+    # Binary columns follow the continuous ones.
     integrality = np.zeros(n)
     upper = np.full(n, np.inf)
-    for v in model.binary:
-        integrality[index[v]] = 1
-        upper[index[v]] = 1
+    integrality[len(model.continuous):] = 1
+    upper[len(model.continuous):] = 1
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    res = milp(c=c, constraints=LinearConstraint(A, lb, ub),
+    res = milp(c=c, constraints=LinearConstraint(A, np.array(model.row_lower),
+                                                 np.array(model.row_upper)),
                integrality=integrality, bounds=Bounds(np.zeros(n), upper),
                options=options)
     if res.status not in (0, 1, 2):
         raise SolverError(f"HiGHS status {res.status}: {res.message}")
     values = None
     if res.x is not None:
-        values = {v: float(res.x[index[v]]) for v in names}
+        values = dict(zip(names, res.x.tolist()))
     return res.status, values
 
 
@@ -514,8 +530,9 @@ def solve_exact(instance: Instance, kind: Objective,
     The status is OPTIMAL, TIMED_OUT (with the incumbent, if any) or
     INFEASIBLE (no schedule); any other HiGHS outcome raises SolverError.
 
-    `time_limit` is in seconds (None, 0 and inf are valid); a negative or
-    NaN limit raises ValueError.
+    `time_limit` is in seconds (None, 0 and inf are valid) and bounds the
+    whole call, re-solve included; a negative or NaN limit raises
+    ValueError.
 
     The per-reservation precedence model, a relaxation of the literal one
     that admits passing, is solved first.  When its optimum gives a
@@ -525,6 +542,7 @@ def solve_exact(instance: Instance, kind: Objective,
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
+    started = time.perf_counter()
     # The first model is freed before a re-solve builds the larger literal one.
     status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
     if status == 0:
@@ -533,7 +551,9 @@ def solve_exact(instance: Instance, kind: Objective,
         try:
             _pair_orders(instance, schedule)
         except ValueError:
-            consistent = _solve_consistent(instance, kind, time_limit, value)
+            left = (None if time_limit is None
+                    else max(0.0, time_limit - (time.perf_counter() - started)))
+            consistent = _solve_consistent(instance, kind, left, value)
             if consistent is not None:
                 schedule = consistent
         return ExactResult(schedule=schedule, value=value, status=OPTIMAL)

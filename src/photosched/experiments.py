@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Instance, Objective
-from .exact import OPTIMAL, TIMED_OUT, solve_exact
+from .exact import OPTIMAL, TIMED_OUT, SolverError, solve_exact
 from .instgen import GenConfig, ReadyScenario, generate_instance
 from .search import GAConfig, SPConfig, run_ga, run_sp
 
@@ -117,7 +117,7 @@ def _run_one(instance: Instance, kind: Objective, n, ready, T, R, mc, rep,
             result = solve_exact(instance, kind, time_limit=exact_time_limit)
             of_exact = result.value
             status = result.status
-        except Exception:
+        except SolverError:
             status = FAILED
         runtimes["exact"] = time.perf_counter() - t0
 

@@ -120,6 +120,20 @@ def test_experiment_command(tmp_path, capsys):
     assert len(records) == 3  # header + 1 cell x 2 replications x 1 objective
 
 
+def test_experiment_rejects_invalid_time_limit(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": [2], "ready": ["zero"], "T": [0.3],
+                                "R": [0.5], "equipment": [2],
+                                "objectives": ["cmax"]}))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(grid),
+                         "--out", str(out_dir), "--seed", "13", "--time-limit", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "time limit" in err
+    assert not (out_dir / "records.csv").exists()
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "evaluate", "no-such.csv", "also-missing.json")
     assert code == 1

@@ -79,6 +79,27 @@ def test_instance_validation():
     assert [m.id for m in inst.machines_of_class("B")] == ["B1", "B2"]
 
 
+@pytest.mark.parametrize("job_ids,bad", [
+    (("A", "B_C", "A_B", "C"), "B_C"),  # y_A_B_C would name two job pairs
+    (("J1", "J 2"), "J 2"),
+    (("J1", "J-2"), "J-2"),
+    (("J1", ""), ""),
+    (("J1", "J\u00e92"), "J\u00e92"),
+])
+def test_instance_rejects_job_ids_not_letters_and_digits(job_ids, bad):
+    jobs = tuple(make_job((40, 20, 75, 0, 30, 0), id=i) for i in job_ids)
+    with pytest.raises(ValueError, match=f"job id {bad!r}"):
+        Instance(jobs=jobs, machines=tuple(equipment(2)))
+
+
+def test_instance_rejects_machine_ids_not_letters_and_digits():
+    # A valid park but for the id; the exact layer read x_2_C_a_J1 as
+    # machine "C" and job "a_J1".
+    machines = tuple(Machine("C_a", "C") if m.id == "C1" else m for m in equipment(2))
+    with pytest.raises(ValueError, match="machine id 'C_a'"):
+        Instance(jobs=(make_job((40, 20, 75, 45, 30, 45)),), machines=machines)
+
+
 def test_eligible_machines_per_stage():
     inst = Instance(jobs=(make_job((40, 20, 75, 45, 30, 45)),),
                     machines=tuple(equipment(1)))

@@ -6,9 +6,13 @@ helper in enumeration.py, independently of the solver under test.
 
 import hashlib
 import math
+import random
+import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from photosched import exact
 from photosched.core import Instance, Job, Objective
@@ -144,6 +148,109 @@ def test_golden_lp_export(n, mc):
     assert digests == GOLDEN_LP[(n, mc)]
 
 
+def _highs_inputs_digest(model) -> str:
+    """First 16 hex digits of the SHA-256 of what HiGHS receives for the model:
+    c, the constraint matrix in the CSC form `milp` hands over, row bounds,
+    integrality, variable bounds and options."""
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return SimpleNamespace(status=2, message="recorded", x=None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "milp", record)
+        exact._solve_model(model, None)
+    (kw,) = calls
+    A = sparse.csc_array(kw["constraints"].A)
+    digest = hashlib.sha256(repr((A.shape, sorted(kw["options"].items()))).encode())
+    for arr, dtype in ((kw["c"], float), (A.indptr, np.int64), (A.indices, np.int64),
+                       (A.data, float), (kw["constraints"].lb, float),
+                       (kw["constraints"].ub, float), (kw["integrality"], float),
+                       (kw["bounds"].lb, float), (kw["bounds"].ub, float)):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return digest.hexdigest()[:16]
+
+
+# HiGHS input digests for the instances of GOLDEN_LP, per model:
+# (n, park) -> model -> objective -> digest.
+GOLDEN_HIGHS = {
+    (2, 1): {"literal": {"cmax": "52e5390aee61c32b", "wct": "d11bb7afb551999f",
+                         "twt": "dec8f8f37ef354e8"},
+             "internal": {"cmax": "91f1d61ba8fab767", "wct": "d160070b85b357d7",
+                          "twt": "a3ee522702fdf383"}},
+    (2, 2): {"literal": {"cmax": "3a804f49238bab85", "wct": "2ae2539daff0a3ef",
+                         "twt": "c8157fc3dfaef38b"},
+             "internal": {"cmax": "9dd213d299b98024", "wct": "6f728f214efc96e7",
+                          "twt": "391e89af9bad1867"}},
+    (5, 1): {"literal": {"cmax": "c0bc34e5f22d0edf", "wct": "a5455bb46f466462",
+                         "twt": "1a3ec12beb26b5a2"},
+             "internal": {"cmax": "048c4f7d15aeb687", "wct": "6800a957de082e58",
+                          "twt": "09d55951b0b58acb"}},
+    (5, 2): {"literal": {"cmax": "29655f90e4c3d3a4", "wct": "ebb6b4c8ebfa3a86",
+                         "twt": "fa8da2183be880d0"},
+             "internal": {"cmax": "5899d789e603c3a0", "wct": "88d6c7ccfe368eb7",
+                          "twt": "d340c8ee3887b8bb"}},
+}
+
+
+@pytest.mark.parametrize("n,mc", sorted(GOLDEN_LP))
+def test_golden_highs_inputs(n, mc):
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=mc, seed=10 * n + mc))
+    digests = {name: {kind.value: _highs_inputs_digest(build(inst, kind))
+                      for kind in Objective}
+               for name, build in (("literal", export_milp),
+                                   ("internal", exact._disjunctive_model))}
+    assert digests == GOLDEN_HIGHS[(n, mc)]
+
+
+def _violated_rows(model, values, tol=1e-6):
+    """Row-by-row reference for check_values, over the rows as written."""
+    violated = []
+    for row in model.constraints:
+        lhs = sum(c * values[v] for v, c in row.coeffs)
+        slack = tol * (1.0 + abs(row.rhs))
+        if row.sense == "<=":
+            ok = lhs <= row.rhs + slack
+        elif row.sense == ">=":
+            ok = lhs >= row.rhs - slack
+        else:
+            ok = abs(lhs - row.rhs) <= slack
+        if not ok:
+            violated.append(row.name)
+    return violated
+
+
+def test_check_values_matches_row_by_row_reference():
+    inst = generate_instance(GenConfig(n=4, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=1, seed=3))
+    rng = random.Random(7)
+    senses = set()
+    for kind in Objective:
+        model = export_milp(inst, kind)
+        sense_of = {row.name: row.sense for row in model.constraints}
+        sch, _ = decode(inst, sp_initial_order(inst), kind)
+        base = schedule_to_values(inst, sch, model)
+        assert check_values(model, base) == _violated_rows(model, base) == []
+        names = sorted(base)
+        for trial in range(12):
+            values = dict(base)
+            for name in rng.sample(names, 1 + trial):
+                if name in model.binary:
+                    values[name] = 1.0 - values[name]
+                else:
+                    values[name] += rng.choice((-60.0, -7.5, 0.5, 30.0))
+            expected = _violated_rows(model, values)
+            assert check_values(model, values) == expected
+            senses.update(sense_of[name] for name in expected)
+        every_binary_set = {**base, **{name: 1.0 for name in model.binary}}
+        expected = _violated_rows(model, every_binary_set)
+        assert check_values(model, every_binary_set) == expected
+        senses.update(sense_of[name] for name in expected)
+    assert senses == {"<=", ">=", "="}
+
+
 def test_lp_output_shape():
     inst = generate_instance(GenConfig(n=2, equipment=2, seed=0))
     model = export_milp(inst, Objective.TWT)
@@ -255,3 +362,43 @@ def test_resolve_keeps_passing_optimum_the_literal_model_cannot_reach(monkeypatc
     status, values = exact._solve_model(literal, None)
     assert status == 0
     assert round(sum(c * values[v] for v, c in literal.objective.items())) == 300
+
+
+def _spy_limits(monkeypatch, overrun_first=False):
+    """Record when each HiGHS solve starts and the time limit it gets."""
+    calls = []
+    solve_model = exact._solve_model
+
+    def spy(model, time_limit):
+        calls.append((time.perf_counter(), time_limit))
+        if overrun_first and len(calls) == 1:
+            time_limit = None  # overrun the limit, yet prove the optimum
+        return solve_model(model, time_limit)
+
+    monkeypatch.setattr(exact, "_solve_model", spy)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [None, math.inf])
+def test_resolve_keeps_no_and_infinite_time_limits(monkeypatch, limit):
+    calls = _spy_limits(monkeypatch)
+    solve_exact(passing_instance(), Objective.TWT, time_limit=limit)
+    assert [lim for _, lim in calls] == [limit, limit]
+
+
+def test_resolve_gets_the_time_left(monkeypatch):
+    calls = _spy_limits(monkeypatch)
+    started = time.perf_counter()
+    result = solve_exact(passing_instance(), Objective.TWT, time_limit=60)
+    assert (result.status, result.value) == (OPTIMAL, 510)
+    (_, first), (resolved_at, second) = calls
+    assert first == 60
+    assert 60 - (resolved_at - started) <= second < 60
+
+
+def test_resolve_gets_no_time_once_the_limit_is_spent(monkeypatch):
+    calls = _spy_limits(monkeypatch, overrun_first=True)
+    result = solve_exact(passing_instance(), Objective.TWT, time_limit=1e-6)
+    assert [lim for _, lim in calls] == [1e-6, 0.0]
+    assert (result.status, result.value) == (OPTIMAL, 510)
+    assert check_feasibility(passing_instance(), result.schedule) == []
