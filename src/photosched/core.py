@@ -100,6 +100,8 @@ class Job:
             raise ValueError(f"job {self.id}: negative processing time")
         if self.ready < 0 or self.due < 0:
             raise ValueError(f"job {self.id}: negative ready/due time")
+        if self.weight < 1:  # 0 divides SP's due/weight key; < 0 rewards lateness
+            raise ValueError(f"job {self.id}: weight must be >= 1, got {self.weight}")
 
     def duration(self, stage: int) -> int:
         return self.p[stage - 1]

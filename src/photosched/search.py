@@ -3,10 +3,13 @@
 Both optimize a job permutation whose fitness is the decoded schedule's
 objective.  SP runs a swap hill-climb followed by randomized rebuilds of
 the ready-time partitions; the GA evolves permutations with a
-position-swap crossover and a transposition mutation.
+position-swap crossover and a transposition mutation.  Where the
+configured work would score every order anyway (small n), each first finds
+the least score over all orders and stops searching once it holds it.
 """
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,6 +48,8 @@ class GAConfig:
             raise ValueError("stall_window must be >= 1")
         if self.stall_window > self.max_generations:
             raise ValueError("stall_window must not exceed max_generations")
+        if not self.stall_tolerance >= 0:  # NaN or negative: never stalls
+            raise ValueError("stall_tolerance must be >= 0")
 
 
 def sp_initial_order(instance: Instance) -> JobOrder:
@@ -81,6 +86,19 @@ def _memo_score(decoder: Decoder, kind: Objective) -> Callable[[_Order], int]:
     return scored
 
 
+def _floor(score: Callable[[_Order], int], ids: List[str],
+           evaluations: int) -> float:
+    """The least score over every order of `ids` where a solve making at
+    least `evaluations` scores would score them all anyway (the
+    coupon-collector bound n! ln n! <= evaluations); otherwise -inf.  A solve
+    holding the floor cannot improve, so it stops without changing its
+    result."""
+    count = math.factorial(len(ids))
+    if count > evaluations or count * math.log(count) > evaluations:
+        return -math.inf
+    return min(map(score, itertools.permutations(ids)))
+
+
 def _two_positions(below: Callable[[int], int], n: int) -> Tuple[int, int]:
     """`rng.sample(range(n), 2)` for n >= 2, given `below = rng._randbelow`
     (the draw behind `randrange` and `sample`), consuming the same bits."""
@@ -114,12 +132,16 @@ def run_sp(instance: Instance, kind: Objective,
         score = _memo_score(decoder, kind)
     else:
         score = functools.partial(decoder.score, kind=kind)
+    floor = _floor(score, [j.id for j in instance.jobs], config.max_iterations)
     current = list(sp_initial_order(instance))
     best_order = tuple(current)
     best_value = score(best_order)
     trace = [best_value]
 
-    for itr in range(2, config.max_iterations + 1):
+    # At the floor nothing better exists: stop, and repeat it in the trace.
+    # It is checked only where the best changes, so no iteration pays for it.
+    last = 1 if best_value == floor else config.max_iterations
+    for itr in range(2, last + 1):
         if itr <= config.max_iterations // 2:
             if n >= 2:
                 i, j = _two_positions(below, n)
@@ -131,7 +153,10 @@ def run_sp(instance: Instance, kind: Objective,
         value = score(order)
         if value < best_value:
             best_order, best_value = order, value
+            if value == floor:
+                break
         trace.append(best_value)
+    trace += [best_value] * (config.max_iterations - len(trace))
     best_schedule, _ = decode(instance, JobOrder(best_order), kind)
     return best_schedule, best_value, trace
 
@@ -199,6 +224,10 @@ def run_ga(instance: Instance, kind: Objective,
     pop_size = config.pop_size
 
     score = _memo_score(Decoder(instance), kind)
+    # Fewest scores a solve makes: the population, then stall_window + 1
+    # generations before the stall rule can stop it.
+    floor = _floor(score, ids, pop_size * (
+        1 + min(config.max_generations, config.stall_window + 1)))
     population = [sp_initial_order(instance).order]
     for _ in range(pop_size - 1):
         seq = ids[:]
@@ -210,17 +239,19 @@ def run_ga(instance: Instance, kind: Objective,
 
     history: List[int] = []
     for _ in range(config.max_generations):
-        parents = [_tournament(population, fits, below) for _ in range(pop_size)]
-        population, fits = [], []
-        for _ in range(pop_size):
-            u = parents[below(pop_size)]
-            v = parents[below(pop_size)]
-            child = _mutate(_crossover(u, v, below, uniform), below)
-            f = score(child)
-            if f < best_value:
-                best_order, best_value = child, f
-            population.append(child)
-            fits.append(f)
+        if best_value != floor:  # at the floor, breeding finds nothing better
+            parents = [_tournament(population, fits, below)
+                       for _ in range(pop_size)]
+            population, fits = [], []
+            for _ in range(pop_size):
+                u = parents[below(pop_size)]
+                v = parents[below(pop_size)]
+                child = _mutate(_crossover(u, v, below, uniform), below)
+                f = score(child)
+                if f < best_value:
+                    best_order, best_value = child, f
+                population.append(child)
+                fits.append(f)
         history.append(best_value)
         if len(history) > config.stall_window and _stalled(history, config):
             break

@@ -172,6 +172,23 @@ def test_solve_rejects_job_without_route(tmp_path, capsys, alg):
     assert "error:" in err and "J1" in err
 
 
+# A zero weight made SP and GA die dividing due by weight while exact
+# "solved" the file; a negative one made lateness pay.
+@pytest.mark.parametrize("weight", [0, -2])
+@pytest.mark.parametrize("alg", ["sp", "ga", "exact"])
+def test_solve_rejects_weight_below_one(tmp_path, capsys, alg, weight):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({
+        "version": 1, "label": "",
+        "machines": [{"id": m.id, "class": m.tool_class} for m in equipment(2)],
+        "jobs": [{"id": "J1", "p": [40, 20, 75, 0, 30, 0], "r": 0, "d": 90, "w": 1},
+                 {"id": "J2", "p": [40, 20, 75, 0, 30, 0], "r": 0, "d": 90, "w": weight}],
+    }))
+    code, _, err = run(capsys, "solve", str(path), "--alg", alg)
+    assert code == 1
+    assert err.startswith("error:") and "J2" in err
+
+
 def test_solve_exact_reports_infeasible_model(instance_path, capsys, monkeypatch):
     infeasible = SimpleNamespace(status=2, message="infeasible", x=None)
     monkeypatch.setattr(exact, "milp", lambda **kwargs: infeasible)

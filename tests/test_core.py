@@ -58,6 +58,12 @@ def test_job_validation():
         Job("J1", (40, 20, 75, 0, 30, 0), ready=-1)
 
 
+@pytest.mark.parametrize("weight", [0, -1])
+def test_job_rejects_weight_below_one(weight):
+    with pytest.raises(ValueError, match="job J7: weight must be >= 1"):
+        Job("J7", (40, 20, 75, 0, 30, 0), due=100, weight=weight)
+
+
 def test_job_stage_helpers():
     job = make_job((40, 20, 75, 0, 30, 45))
     assert job.stages == (1, 2, 3, 5, 6)

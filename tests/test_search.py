@@ -1,6 +1,8 @@
 """Permutation heuristics: initial order, SP search, GA operators and loop."""
 
 import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -161,6 +163,10 @@ def test_ga_config_validation():
     for window in (0, -1):  # run_ga would divide by the window in _stalled
         with pytest.raises(ValueError, match="stall_window"):
             GAConfig(stall_window=window)
+    for tolerance in (-1e-9, float("nan")):  # either would never stall
+        with pytest.raises(ValueError, match="stall_tolerance"):
+            GAConfig(stall_tolerance=tolerance)
+    assert GAConfig(stall_tolerance=0).stall_tolerance == 0
 
 
 # Values and schedule-CSV digests (first 16 hex digits of the SHA-256) of
@@ -341,3 +347,108 @@ def test_sp_memoizes_only_where_orders_repeat(monkeypatch, n, memoized):
     # 200 iterations: 200**2 >= 5! orders, but not 25!.
     assert (len(calls) < 200) == memoized
     assert len(calls) == len(set(calls)) if memoized else len(calls) == 200
+
+
+def _no_floor(monkeypatch):
+    monkeypatch.setattr(search, "_floor", lambda score, ids, evaluations: -math.inf)
+
+
+def _ranked_score(calls):
+    """A score that counts its calls and is least at the last order."""
+    def score(order):
+        calls.append(order)
+        return -int("".join(order), 36)
+    return score
+
+
+@pytest.mark.parametrize("n,evaluations", [(5, 574), (6, 4737)])
+def test_floor_is_the_least_score_inside_the_coupon_collector_bound(n, evaluations):
+    # 5! ln 5! = 574.5 and 6! ln 6! = 4737.7: one evaluation short, no floor.
+    ids = [f"{k}" for k in range(1, n + 1)]
+    calls = []
+    assert search._floor(_ranked_score(calls), ids, evaluations) == -math.inf
+    assert calls == []
+    floor = search._floor(_ranked_score(calls), ids, evaluations + 1)
+    assert sorted(calls) == sorted(itertools.permutations(ids))
+    assert floor == -int("".join(reversed(ids)), 36)
+
+
+def test_floor_holds_for_one_job_and_never_for_large_n():
+    calls = []
+    assert search._floor(_ranked_score(calls), ["J1"], 1) == -int("J1", 36)
+    assert search._floor(_ranked_score(calls), [f"J{k}" for k in range(200)],
+                         10**9) == -math.inf
+    assert calls == [("J1",)]
+
+
+SMALL_SP = SPConfig(max_iterations=100, seed=7)
+# stall_window == max_generations: every solve runs all 10 generations.
+FULL_GA = GAConfig(pop_size=20, max_generations=10, stall_window=10, seed=1)
+FLOOR_SOLVES = [(run_sp, SPConfig()), (run_sp, SMALL_SP), (run_ga, GAConfig()),
+                (run_ga, SMALL_GA), (run_ga, FULL_GA)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("mc,ready", [(1, "zero"), (1, "mixed"), (2, "zero"),
+                                      (2, "mixed")])
+def test_floor_changes_no_result(monkeypatch, n, mc, ready):
+    inst = _desk_instance(n, mc, ready, seed=n)
+    solves = [(solve, kind, config) for solve, config in FLOOR_SOLVES
+              for kind in Objective]
+    with_floor = [solve(inst, kind, config) for solve, kind, config in solves]
+    for (solve, _, config), (_, _, trace) in zip(solves, with_floor):
+        if solve is run_sp:
+            assert len(trace) == config.max_iterations
+    _no_floor(monkeypatch)
+    assert [solve(inst, kind, config) for solve, kind, config in solves] == with_floor
+
+
+def _calls(monkeypatch, name):
+    calls = []
+    real = getattr(search, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solve,config,inner", [(run_sp, SPConfig(), "_two_positions"),
+                                                (run_ga, GAConfig(), "_tournament")])
+def test_floor_stops_the_search_at_n5(monkeypatch, solve, config, inner):
+    inst = _desk_instance(5, 1, "mixed", 5)
+    calls = _calls(monkeypatch, inner)
+    for kind in Objective:
+        solve(inst, kind, config)
+    with_floor = len(calls)
+    _no_floor(monkeypatch)
+    for kind in Objective:
+        solve(inst, kind, config)
+    without_floor = len(calls) - with_floor
+    # SP swaps up to 499 times and the GA breeds 5,100 or more children.
+    assert with_floor * 20 < without_floor
+
+
+# Above the bound no order is scored that the search would not score itself.
+@pytest.mark.parametrize("solve,config,n", [(run_sp, SPConfig(), 6),
+                                            (run_ga, GAConfig(), 7)])
+def test_floor_scores_no_extra_order_above_the_bound(monkeypatch, solve, config, n):
+    inst = _desk_instance(n, 2, "mixed", 3)
+    scored = []
+    score = Decoder.score
+
+    def counted(self, order, kind):
+        scored.append(order)
+        return score(self, order, kind)
+
+    monkeypatch.setattr(Decoder, "score", counted)
+    for kind in Objective:
+        solve(inst, kind, config)
+    with_floor = scored[:]
+    scored.clear()
+    _no_floor(monkeypatch)
+    for kind in Objective:
+        solve(inst, kind, config)
+    assert scored == with_floor
