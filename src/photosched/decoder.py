@@ -97,12 +97,17 @@ class Decoder:
 
     def score(self, order: Sequence[str], kind: Objective) -> int:
         """Objective value of the order's decoded schedule, without building it."""
-        ends = self._place(order, None)
-        if kind == Objective.CMAX:
-            return max((c for _, c in ends), default=0)
-        if kind == Objective.WCT:
-            return sum(job.weight * c for job, c in ends)
-        return sum(job.weight * (c - job.due) for job, c in ends if c > job.due)
+        return _objective(self._place(order, None), kind)
+
+    def lower_bound(self, kind: Objective) -> int:
+        """The objective with every job completing at its ready time plus its
+        total processing time.
+
+        No schedule completes a job sooner, and all three objectives grow
+        with every completion, so no schedule scores less.
+        """
+        return _objective([(job, job.ready + sum(d for _, d, _ in job.steps))
+                           for job in self._jobs.values()], kind)
 
     def schedule(self, order: Sequence[str]) -> Schedule:
         """The order's decoded schedule."""
@@ -161,6 +166,15 @@ class Decoder:
                     visits.append((job_id, stage, mk, prev))
             ends.append((job, prev))
         return ends
+
+
+def _objective(ends: Sequence[Tuple[_JobSteps, int]], kind: Objective) -> int:
+    """The objective over (job, completion) pairs."""
+    if kind == Objective.CMAX:
+        return max((c for _, c in ends), default=0)
+    if kind == Objective.WCT:
+        return sum(job.weight * c for job, c in ends)
+    return sum(job.weight * (c - job.due) for job, c in ends if c > job.due)
 
 
 def decode(instance: Instance, order: JobOrder,

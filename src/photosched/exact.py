@@ -11,6 +11,11 @@ relaxation's optima equal exhaustive enumeration.  When its optimum
 passes, the literal model is solved once more for an order-consistent
 schedule of equal value.  Both are solved with the HiGHS
 branch-and-bound backend behind scipy.
+
+Before any model is built, `solve_exact` decodes SP's initial order; when
+that schedule meets the per-job lower bound (every job done at its ready
+time plus its total processing time), it is optimal and is returned
+without a HiGHS call.
 """
 
 import time
@@ -34,7 +39,9 @@ from .core import (
     eligible_machines,
     park_routes,
 )
+from .decoder import Decoder
 from .evaluator import Schedule, Visit, earliest_completion, objective_value
+from .search import sp_initial_order
 
 OPTIMAL = "optimal"
 TIMED_OUT = "timeout"
@@ -530,6 +537,12 @@ def solve_exact(instance: Instance, kind: Objective,
     The status is OPTIMAL, TIMED_OUT (with the incumbent, if any) or
     INFEASIBLE (no schedule); any other HiGHS outcome raises SolverError.
 
+    SP's initial order is decoded first.  When its schedule meets the
+    decoder's per-job lower bound, that schedule is the optimum: it is
+    returned as OPTIMAL with no model built and no HiGHS call.  The
+    decoder serves every machine in list order, so the schedule is
+    order-consistent and satisfies the literal model.
+
     `time_limit` is in seconds (None, 0 and inf are valid) and bounds the
     whole call, re-solve included; a negative or NaN limit raises
     ValueError.
@@ -543,6 +556,12 @@ def solve_exact(instance: Instance, kind: Objective,
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
     started = time.perf_counter()
+    decoder = Decoder(instance)
+    order = sp_initial_order(instance)
+    value = decoder.score(order, kind)
+    if value == decoder.lower_bound(kind):
+        return ExactResult(schedule=decoder.schedule(order), value=value,
+                           status=OPTIMAL)
     # The first model is freed before a re-solve builds the larger literal one.
     status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
     if status == 0:

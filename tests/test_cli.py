@@ -7,7 +7,8 @@ import pytest
 
 from photosched import exact
 from photosched.cli import dispatch
-from photosched.core import load_instance
+from photosched.core import Objective, load_instance
+from photosched.decoder import Decoder
 from photosched.instgen import equipment
 
 
@@ -53,6 +54,26 @@ def test_solve_and_evaluate(instance_path, tmp_path, capsys, alg):
     code, out, _ = run(capsys, "evaluate", str(sched), str(instance_path))
     assert code == 0
     assert out.startswith("feasible")
+
+
+def test_solve_exact_returns_the_met_per_job_bound(tmp_path, capsys, monkeypatch):
+    # n = 2 on park 2 at seed 1: SP's initial order meets the bound, so the
+    # optimum is proven without HiGHS.
+    path, sched = tmp_path / "inst.json", tmp_path / "exact.csv"
+    code, _, _ = run(capsys, "generate", "--n", "2", "--equipment", "2",
+                     "--seed", "1", "--out", str(path))
+    assert code == 0
+    calls = []
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: calls.append(kwargs))
+    bound = Decoder(load_instance(path)).lower_bound(Objective.CMAX)
+    code, out, _ = run(capsys, "solve", str(path), "--alg", "exact",
+                       "--out-schedule", str(sched))
+    assert code == 0
+    assert out.startswith(f"status=optimal cmax={bound} ")
+    assert calls == []
+    code, out, _ = run(capsys, "evaluate", str(sched), str(path))
+    assert code == 0
+    assert out.startswith(f"feasible cmax={bound} ")
 
 
 def test_solve_writes_trace(instance_path, tmp_path, capsys):

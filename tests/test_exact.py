@@ -16,7 +16,7 @@ from scipy import sparse
 
 from photosched import exact
 from photosched.core import Instance, Job, Objective
-from photosched.decoder import JobOrder, decode
+from photosched.decoder import Decoder, JobOrder, decode
 from photosched.evaluator import check_feasibility
 from photosched.exact import (
     INFEASIBLE,
@@ -285,20 +285,77 @@ def test_instance_without_route_is_rejected():
         Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
 
 
+def _fake_milp(monkeypatch, result):
+    """Make every HiGHS call return `result`; returns the list of calls."""
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return result
+
+    monkeypatch.setattr(exact, "milp", fake)
+    return calls
+
+
+# The instances below miss the per-job lower bound with SP's initial order
+# (cmax 375 against 255), so solve_exact reaches HiGHS.
+
 def test_solve_exact_reports_infeasible_model(monkeypatch):
     infeasible = SimpleNamespace(status=2, message="infeasible", x=None)
-    monkeypatch.setattr(exact, "milp", lambda **kwargs: infeasible)
-    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    calls = _fake_milp(monkeypatch, infeasible)
+    inst = passing_instance()
     result = solve_exact(inst, Objective.CMAX, time_limit=10)
     assert (result.status, result.schedule, result.value) == (INFEASIBLE, None, None)
+    assert calls
 
 
 def test_solve_exact_raises_on_other_highs_status(monkeypatch):
     failed = SimpleNamespace(status=4, message="numerical trouble", x=None)
-    monkeypatch.setattr(exact, "milp", lambda **kwargs: failed)
-    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    calls = _fake_milp(monkeypatch, failed)
+    inst = passing_instance()
     with pytest.raises(SolverError, match="numerical trouble"):
         solve_exact(inst, Objective.CMAX)
+    assert calls
+
+
+def test_solve_exact_proves_the_per_job_bound_without_highs(monkeypatch):
+    # n = 2 on park 2 at seed 1: SP's initial order meets the bound.
+    inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))
+    calls = _fake_milp(monkeypatch, SimpleNamespace(status=4, message="called", x=None))
+    for kind in Objective:
+        for limit in (None, 0, 60):
+            result = solve_exact(inst, kind, time_limit=limit)
+            assert (result.status, result.value) == (
+                OPTIMAL, Decoder(inst).lower_bound(kind))
+            assert check_feasibility(inst, result.schedule) == []
+            literal = export_milp(inst, kind)
+            assert check_values(literal, schedule_to_values(inst, result.schedule,
+                                                            literal)) == []
+    assert calls == []
+
+
+def test_highs_agrees_where_the_per_job_bound_is_met():
+    """HiGHS on the internal model finds the optimum the bound proves."""
+    checked = 0
+    for n in range(2, 7):
+        for mc in (1, 2):
+            for ready in ReadyScenario:
+                inst = generate_instance(GenConfig(n=n, ready_scenario=ready,
+                                                   equipment=mc, seed=10 * n + mc))
+                decoder = Decoder(inst)
+                order = sp_initial_order(inst)
+                for kind in Objective:
+                    bound = decoder.lower_bound(kind)
+                    if decoder.score(order, kind) != bound:
+                        continue
+                    model = exact._disjunctive_model(inst, kind)
+                    status, values = exact._solve_model(model, 60)
+                    assert status == 0
+                    assert round(sum(c * values[v]
+                                     for v, c in model.objective.items())) == bound
+                    assert solve_exact(inst, kind).value == bound
+                    checked += 1
+    assert checked == 50  # of the 60 (instance, objective) pairs
 
 
 @pytest.mark.parametrize("limit", [-1, -0.5, math.nan])

@@ -144,7 +144,11 @@ def test_aggregate_row_formatting():
 
 def test_solver_error_is_recorded_as_failed(monkeypatch):
     failed = SimpleNamespace(status=4, message="numerical trouble", x=None)
-    monkeypatch.setattr(exact, "milp", lambda **kwargs: failed)
-    grid = dict(SMALL_GRID, n=[2])
+    calls = []
+    monkeypatch.setattr(exact, "milp", lambda **kwargs: calls.append(kwargs) or failed)
+    # SP's initial order misses the per-job lower bound on this cell's
+    # instance (cmax 250 against 210), so the exact solve reaches HiGHS.
+    grid = dict(SMALL_GRID, n=[4])
     (rec,) = run_grid(grid, [Objective.CMAX], 1, master_seed=7, sp_iterations=10)
     assert (rec.exact_status, rec.of_exact) == (FAILED, None)
+    assert calls

@@ -2,7 +2,8 @@
 
 An instance either is rejected up front, naming a job that has no route
 through the park, or every algorithm solves it with a feasible schedule
-and exact's optimum equals exhaustive enumeration.
+and exact's optimum equals exhaustive enumeration, which the decoder's
+per-job lower bound never exceeds.
 """
 
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from enumeration import brute_force, search_size
 from photosched.core import TOOL_STAGES, Instance, Job, Machine, Objective
-from photosched.decoder import JobOrder, decode
+from photosched.decoder import Decoder, JobOrder, decode
 from photosched.evaluator import check_feasibility, objective_value
 from photosched.exact import OPTIMAL, solve_exact
 from photosched.search import GAConfig, SPConfig, run_ga, run_sp
@@ -93,6 +94,7 @@ def test_accepted_instances_solve_and_rejected_ones_have_no_schedule(case):
         assert exact.status == OPTIMAL
         if truth is not None:
             assert exact.value == truth[kind]
+            assert Decoder(inst).lower_bound(kind) <= truth[kind]
         for schedule, value in heuristic_runs(inst, kind) + [(exact.schedule, exact.value)]:
             assert check_feasibility(inst, schedule) == []
             assert value == objective_value(inst, schedule, kind)
