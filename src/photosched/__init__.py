@@ -20,7 +20,6 @@ from .evaluator import (
     check_feasibility,
     earliest_completion,
     metrics,
-    objective,
 )
 from .exact import ExactResult, export_milp, solve_exact, write_lp
 from .instgen import GenConfig, ReadyScenario, generate_instance
@@ -32,7 +31,7 @@ __all__ = [
     "load_instance", "save_instance",
     "JobOrder", "cluster_affinity", "decode",
     "Schedule", "ScheduleMetrics", "Violation",
-    "check_feasibility", "earliest_completion", "metrics", "objective",
+    "check_feasibility", "earliest_completion", "metrics",
     "ExactResult", "export_milp", "solve_exact", "write_lp",
     "GenConfig", "ReadyScenario", "generate_instance",
     "GAConfig", "SPConfig", "crossover", "mutate", "run_ga", "run_sp",

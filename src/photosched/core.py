@@ -81,9 +81,6 @@ class Machine:
     def is_cluster(self) -> bool:
         return self.tool_class in CLUSTER_ENTRY
 
-    def covers(self, stage: int) -> bool:
-        return stage in TOOL_STAGES[self.tool_class]
-
 
 @dataclass(frozen=True)
 class Job:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import CLUSTER_ENTRY, Instance, Job, Objective, park_routes
-from .evaluator import Schedule, Visit, objective_value
+from .evaluator import Schedule, Visit, completion_objective, objective_value
 
 
 class DecodeError(Exception):
@@ -97,7 +97,7 @@ class Decoder:
 
     def score(self, order: Sequence[str], kind: Objective) -> int:
         """Objective value of the order's decoded schedule, without building it."""
-        return _objective(self._place(order, None), kind)
+        return completion_objective(self._place(order, None), kind)
 
     def lower_bound(self, kind: Objective) -> int:
         """The objective with every job completing at its ready time plus its
@@ -106,8 +106,9 @@ class Decoder:
         No schedule completes a job sooner, and all three objectives grow
         with every completion, so no schedule scores less.
         """
-        return _objective([(job, job.ready + sum(d for _, d, _ in job.steps))
-                           for job in self._jobs.values()], kind)
+        return completion_objective(
+            [(job, job.ready + sum(d for _, d, _ in job.steps))
+             for job in self._jobs.values()], kind)
 
     def schedule(self, order: Sequence[str]) -> Schedule:
         """The order's decoded schedule."""
@@ -166,15 +167,6 @@ class Decoder:
                     visits.append((job_id, stage, mk, prev))
             ends.append((job, prev))
         return ends
-
-
-def _objective(ends: Sequence[Tuple[_JobSteps, int]], kind: Objective) -> int:
-    """The objective over (job, completion) pairs."""
-    if kind == Objective.CMAX:
-        return max((c for _, c in ends), default=0)
-    if kind == Objective.WCT:
-        return sum(job.weight * c for job, c in ends)
-    return sum(job.weight * (c - job.due) for job, c in ends if c > job.due)
 
 
 def decode(instance: Instance, order: JobOrder,

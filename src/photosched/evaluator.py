@@ -10,28 +10,17 @@ the cluster routing rules.
 import csv
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import CLUSTER_ENTRY, STAGES, Instance, Job, Objective, route_options
 
 Visit = Tuple[str, int]  # (job id, stage)
 
 
-class ScheduleError(Exception):
-    pass
-
-
-class CyclicSequenceError(ScheduleError):
+class CyclicSequenceError(Exception):
     def __init__(self, visits):
         self.visits = list(visits)
         super().__init__(f"inconsistent sequences: cycle through {self.visits}")
-
-
-class InfeasibleScheduleError(ScheduleError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        lines = "; ".join(v.detail for v in self.violations[:5])
-        super().__init__(f"{len(self.violations)} violation(s): {lines}")
 
 
 @dataclass(frozen=True)
@@ -123,23 +112,21 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
 
     Each machine is a single timeline of reservations in sequence order;
     a cluster reservation holds the machine from its entry-stage start to
-    its exit-stage completion.  Raises CyclicSequenceError when the
-    per-machine orders contradict the job flow.
+    its exit-stage completion.  A visit starts at the later of its job's
+    ready time and its predecessors' completions.  Raises
+    CyclicSequenceError when the per-machine orders contradict the job
+    flow.
     """
     visits = sorted(assign)
-    preds: Dict[Visit, List[Tuple[Visit, str]]] = {v: [] for v in visits}
-    # kind "chain": C_v >= C_u + p_v; kind "machine": start_v >= C_u.
-    base: Dict[Visit, int] = {}
+    preds: Dict[Visit, List[Visit]] = {v: [] for v in visits}
     for job in instance.jobs:
         prev = None
         for s in job.stages:
             v = (job.id, s)
             if v not in preds:
                 continue  # missing assignment; caller detects separately
-            if prev is None:
-                base[v] = job.ready
-            else:
-                preds[v].append((prev, "chain"))
+            if prev is not None:
+                preds[v].append(prev)
             prev = v
 
     # Machine-order edges between consecutive reservations.
@@ -147,14 +134,12 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
     for mid, occs in occ_by_machine.items():
         order = _reservation_order(occs, sequences.get(mid, []))
         for a, b in zip(order, order[1:]):
-            u = (a.job_id, a.exit)
-            v = (b.job_id, b.entry)
-            preds[v].append((u, "machine"))
+            preds[(b.job_id, b.entry)].append((a.job_id, a.exit))
 
     indeg = {v: len(ps) for v, ps in preds.items()}
     succs: Dict[Visit, List[Visit]] = defaultdict(list)
     for v, ps in preds.items():
-        for u, _ in ps:
+        for u in ps:
             succs[u].append(v)
     queue = deque(v for v, d in indeg.items() if d == 0)
     completion: Dict[Visit, int] = {}
@@ -162,11 +147,11 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
     while queue:
         v = queue.popleft()
         job_id, stage = v
-        p = instance.job(job_id).duration(stage)
-        start = base.get(v, 0)
-        for u, kind in preds[v]:
+        job = instance.job(job_id)
+        start = job.ready
+        for u in preds[v]:
             start = max(start, completion[u])
-        completion[v] = start + p
+        completion[v] = start + job.duration(stage)
         done += 1
         for w in succs[v]:
             indeg[w] -= 1
@@ -221,7 +206,7 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
                 elif assign[v] not in known_machines:
                     out.append(Violation("MissingAssign",
                                          f"job {job.id} stage {s} on unknown machine {assign[v]}"))
-                elif not instance.machine(assign[v]).covers(s):
+                elif s not in instance.machine(assign[v]).covered_stages:
                     out.append(Violation("ForbiddenAssign",
                                          f"machine {assign[v]} cannot process stage {s} (job {job.id})"))
                 elif v not in schedule.completion:
@@ -315,37 +300,35 @@ def _prev_stage(job: Job, stage: int) -> int:
 # ---------------------------------------------------------------------------
 # Objectives
 
+def completion_objective(ends: Sequence[Tuple[Job, int]], kind: Objective) -> int:
+    """The objective over (job, last completion) pairs.
+
+    A job here is anything with a `due` date and a `weight`; this is the
+    one statement of cmax, wct and twt.
+    """
+    if kind == Objective.CMAX:
+        return max((c for _, c in ends), default=0)
+    if kind == Objective.WCT:
+        return sum(job.weight * c for job, c in ends)
+    return sum(job.weight * (c - job.due) for job, c in ends if c > job.due)
+
+
+def _job_ends(instance: Instance, schedule: Schedule) -> List[Tuple[Job, int]]:
+    return [(job, schedule.last_completion(instance, job.id)) for job in instance.jobs]
+
+
 def metrics(instance: Instance, schedule: Schedule) -> ScheduleMetrics:
-    cmax = 0
-    wct = 0
-    twt = 0
-    tardiness = {}
-    for job in instance.jobs:
-        c = schedule.last_completion(instance, job.id)
-        cmax = max(cmax, c)
-        wct += job.weight * c
-        t = max(0, c - job.due)
-        tardiness[job.id] = t
-        twt += job.weight * t
-    return ScheduleMetrics(cmax=cmax, wct=wct, twt=twt, tardiness=tardiness)
+    ends = _job_ends(instance, schedule)
+    return ScheduleMetrics(
+        cmax=completion_objective(ends, Objective.CMAX),
+        wct=completion_objective(ends, Objective.WCT),
+        twt=completion_objective(ends, Objective.TWT),
+        tardiness={job.id: max(0, c - job.due) for job, c in ends})
 
 
 def objective_value(instance: Instance, schedule: Schedule, kind: Objective) -> int:
     """Objective of a schedule assumed feasible (no checking)."""
-    m = metrics(instance, schedule)
-    if kind == Objective.CMAX:
-        return m.cmax
-    if kind == Objective.WCT:
-        return m.wct
-    return m.twt
-
-
-def objective(instance: Instance, schedule: Schedule, kind: Objective) -> int:
-    """Objective of a feasible schedule; raises if any constraint is violated."""
-    violations = check_feasibility(instance, schedule)
-    if violations:
-        raise InfeasibleScheduleError(violations)
-    return objective_value(instance, schedule, kind)
+    return completion_objective(_job_ends(instance, schedule), kind)
 
 
 # ---------------------------------------------------------------------------

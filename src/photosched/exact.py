@@ -40,12 +40,21 @@ from .core import (
     park_routes,
 )
 from .decoder import Decoder
-from .evaluator import Schedule, Visit, earliest_completion, objective_value
+from .evaluator import (
+    Schedule,
+    Visit,
+    _occupations,
+    earliest_completion,
+    metrics,
+    objective_value,
+)
 from .search import sp_initial_order
 
 OPTIMAL = "optimal"
 TIMED_OUT = "timeout"
 INFEASIBLE = "infeasible"
+
+CHECK_TOL = 1e-6  # relative slack `check_values` allows each row
 
 
 class SolverError(RuntimeError):
@@ -330,12 +339,11 @@ def schedule_to_values(instance: Instance, schedule: Schedule,
         for s in STAGES:
             values[_cvar(s, job.id)] = float(
                 schedule.completion_through(instance, job.id, s))
-    cmax = max(schedule.last_completion(instance, j.id) for j in instance.jobs)
-    values["CMAX"] = float(cmax)
+    m = metrics(instance, schedule)
+    values["CMAX"] = float(m.cmax)
     if model.kind == Objective.TWT:
-        for job in instance.jobs:
-            c = schedule.last_completion(instance, job.id)
-            values[f"T_{job.id}"] = float(max(0, c - job.due))
+        for job_id, t in m.tardiness.items():
+            values[f"T_{job_id}"] = float(t)
 
     for (job_id, s), mid in schedule.assign.items():
         name = _xvar(s, mid, job_id)
@@ -356,8 +364,6 @@ def _pair_orders(instance: Instance, schedule: Schedule) -> Dict[Tuple[str, str]
     Raises ValueError on machines whose reservations interleave the pair
     in both directions.
     """
-    from .evaluator import _occupations  # shared grouping logic
-
     orders: Dict[Tuple[str, str], bool] = {}
     for mid, occs in _occupations(instance, schedule.assign).items():
         spans = [
@@ -379,12 +385,11 @@ def _pair_orders(instance: Instance, schedule: Schedule) -> Dict[Tuple[str, str]
     return orders
 
 
-def check_values(model: MilpModel, values: Dict[str, float],
-                 tol: float = 1e-6) -> List[str]:
+def check_values(model: MilpModel, values: Dict[str, float]) -> List[str]:
     """Names of constraints the variable assignment violates, in row order.
 
     A row holds when its sum lies within its bounds widened by
-    tol * (1 + |rhs|).
+    CHECK_TOL * (1 + |rhs|).
     """
     nnz = len(model.term_vars)
     x = np.fromiter(map(values.__getitem__, model.term_vars), float, count=nnz)
@@ -392,7 +397,7 @@ def check_values(model: MilpModel, values: Dict[str, float],
     lhs = np.bincount(row_of, weights=np.array(model.term_coefs) * x,
                       minlength=len(model.row_names))
     lower, upper = np.array(model.row_lower), np.array(model.row_upper)
-    slack = tol * (1.0 + np.abs(np.where(lower == -np.inf, upper, lower)))
+    slack = CHECK_TOL * (1.0 + np.abs(np.where(lower == -np.inf, upper, lower)))
     ok = (lhs >= lower - slack) & (lhs <= upper + slack)
     return [model.row_names[i] for i in np.flatnonzero(~ok)]
 

@@ -234,16 +234,3 @@ def save_timings(records: List[ExperimentRecord], path) -> None:
                 writer.writerow([r.n, r.ready, r.T, r.R, r.mc, r.rep,
                                  r.objective, solver, f"{seconds:.3f}"])
 
-
-def load_records(path) -> List[ExperimentRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(ExperimentRecord(
-                n=int(row["n"]), ready=row["ready"], T=float(row["T"]),
-                R=float(row["R"]), mc=int(row["mc"]), rep=int(row["rep"]),
-                objective=row["objective"], of_sp=int(row["of_sp"]),
-                of_ga=int(row["of_ga"]),
-                of_exact=int(row["of_exact"]) if row["of_exact"] else None,
-                exact_status=row["exact_status"]))
-    return out

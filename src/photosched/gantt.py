@@ -2,8 +2,8 @@
 
 from typing import List
 
-from .core import Instance
-from .evaluator import Schedule, _occupations
+from .core import Instance, Objective
+from .evaluator import Schedule, _occupations, objective_value
 
 LANE_HEIGHT = 28
 BAR_HEIGHT = 20
@@ -17,10 +17,7 @@ PALETTE = ["#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
 
 def render_gantt(instance: Instance, schedule: Schedule) -> str:
     machines = sorted(instance.machines, key=lambda m: m.id)
-    horizon = max(
-        [schedule.last_completion(instance, j.id) for j in instance.jobs],
-        default=0,
-    )
+    horizon = objective_value(instance, schedule, Objective.CMAX)
     width = LABEL_WIDTH + int(horizon * PX_PER_MINUTE) + 20
     height = LANE_HEIGHT * len(machines) + 30
     color = {j.id: PALETTE[i % len(PALETTE)] for i, j in enumerate(instance.jobs)}

@@ -87,7 +87,7 @@ def gen_processing(rng: random.Random) -> Tuple[int, ...]:
 
 
 def estimate_cmax(n: int, machines: List[Machine]) -> CmaxEstimate:
-    m_ibn = sum(1 for m in machines if m.covers(BOTTLENECK_STAGE))
+    m_ibn = sum(1 for m in machines if BOTTLENECK_STAGE in m.covered_stages)
     if m_ibn == 0:
         raise ValueError("no machine covers the bottleneck stage")
     value = Fraction(3, 2) * (n * Fraction(BOTTLENECK_TIME, m_ibn) + NON_BOTTLENECK_TIME)

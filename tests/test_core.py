@@ -2,6 +2,7 @@
 
 import pytest
 
+import photosched
 from photosched.core import (
     CLUSTER_ENTRY,
     STAGE_CLASSES,
@@ -43,7 +44,7 @@ def test_stage_classes_match_tool_stages():
 def test_machine_validation_and_helpers():
     m = Machine("CEDB1", "CEDB")
     assert m.is_cluster
-    assert m.covers(6) and not m.covers(4)
+    assert 6 in m.covered_stages and 4 not in m.covered_stages
     assert not Machine("B1", "B").is_cluster
     with pytest.raises(ValueError):
         Machine("X1", "X")
@@ -203,3 +204,8 @@ def test_instance_file_version_checked():
     data["version"] = 99
     with pytest.raises(ValueError):
         instance_from_dict(data)
+
+
+def test_package_exports_resolve():
+    missing = [name for name in photosched.__all__ if not hasattr(photosched, name)]
+    assert missing == []

@@ -15,7 +15,7 @@ from photosched.decoder import (
     cluster_affinity,
     decode,
 )
-from photosched.evaluator import Schedule, check_feasibility, objective_value
+from photosched.evaluator import Schedule, check_feasibility, metrics, objective_value
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 
 
@@ -164,8 +164,10 @@ def test_decoder_score_matches_built_schedule(case):
     assert sch == reference_schedule(inst, order)
     assert sch == decode(inst, JobOrder(order), Objective.CMAX)[0]
     assert check_feasibility(inst, sch) == []
+    m = metrics(inst, sch)
     for kind in Objective:
         assert decoder.score(order, kind) == objective_value(inst, sch, kind)
+        assert decoder.lower_bound(kind) <= getattr(m, kind.value)
 
 
 @settings(max_examples=40, deadline=None)
