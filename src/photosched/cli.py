@@ -156,6 +156,11 @@ def _cmd_experiment(args) -> int:
     if args.grid:
         with open(args.grid) as fh:
             grid = json.load(fh)
+        if not isinstance(grid, dict):
+            raise ValueError(f"{args.grid}: grid must be a JSON object")
+        unknown = sorted(set(grid) - set(DEFAULT_GRID) - {"objectives", "replications"})
+        if unknown:
+            raise ValueError(f"{args.grid}: unknown grid key(s): {', '.join(unknown)}")
     else:
         grid = dict(DEFAULT_GRID)
     objectives = [Objective(v) for v in grid.pop("objectives", ["cmax", "wct", "twt"])]

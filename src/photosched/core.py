@@ -91,6 +91,7 @@ class Job:
     weight: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "p", tuple(self.p))  # hashable, as caches need
         if len(self.p) != N_STAGES:
             raise ValueError(f"job {self.id}: expected {N_STAGES} stage times")
         if any(t < 0 for t in self.p):

@@ -7,6 +7,7 @@ stages to it and reserves the tool for the whole span.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import CLUSTER_ENTRY, Instance, Job, Objective, park_routes
@@ -169,8 +170,18 @@ class Decoder:
         return ends
 
 
+# A record's SP, GA and exact solves and their final decodes all run on one
+# instance in turn, so one entry builds its tables once for all of them.
+@lru_cache(maxsize=1)
+def decoder_for(instance: Instance) -> Decoder:
+    """The instance's `Decoder`, shared by consecutive calls on an equal
+    instance.  A `Decoder` is read-only once built, so sharing it changes
+    no result."""
+    return Decoder(instance)
+
+
 def decode(instance: Instance, order: JobOrder,
            kind: Objective) -> Tuple[Schedule, int]:
     """Build a feasible schedule for the permutation and score it."""
-    schedule = Decoder(instance).schedule(order)
+    schedule = decoder_for(instance).schedule(order)
     return schedule, objective_value(instance, schedule, kind)

@@ -39,7 +39,7 @@ from .core import (
     eligible_machines,
     park_routes,
 )
-from .decoder import Decoder
+from .decoder import decoder_for
 from .evaluator import (
     Schedule,
     Visit,
@@ -561,7 +561,7 @@ def solve_exact(instance: Instance, kind: Objective,
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
     started = time.perf_counter()
-    decoder = Decoder(instance)
+    decoder = decoder_for(instance)
     order = sp_initial_order(instance)
     value = decoder.score(order, kind)
     if value == decoder.lower_bound(kind):

@@ -76,6 +76,8 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
 
     Solver failures are recorded with status "failed" and the run continues.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     records: List[ExperimentRecord] = []
     cells = list(itertools.product(grid["n"], grid["ready"], grid["T"],
                                    grid["R"], grid["equipment"]))

@@ -6,6 +6,8 @@ two ready-time scenarios, and due dates drawn around an estimated
 makespan scaled by the tardiness factor T and range factor R.
 """
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +57,12 @@ class GenConfig:
             raise ValueError("n must be >= 1")
         if self.equipment not in EQUIPMENT_COUNTS:
             raise ValueError("equipment scenario must be 1 or 2")
+        # T above 1 makes every due date 0, a negative R makes them all
+        # equal, and NaN or infinity are no due-date window at all.
+        if not (isinstance(self.T, numbers.Real) and 0 <= self.T <= 1):
+            raise ValueError(f"T must be a number in [0, 1], got {self.T!r}")
+        if not (isinstance(self.R, numbers.Real) and 0 <= self.R < math.inf):
+            raise ValueError(f"R must be a finite number >= 0, got {self.R!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .core import Instance, Objective
-from .decoder import Decoder, JobOrder, cluster_affinity, decode
+from .decoder import Decoder, JobOrder, cluster_affinity, decode, decoder_for
 from .evaluator import Schedule
 
 _Order = Tuple[str, ...]  # job ids in placement order
@@ -52,6 +52,7 @@ class GAConfig:
             raise ValueError("stall_tolerance must be >= 0")
 
 
+@functools.lru_cache(maxsize=1)  # SP, the GA and exact each start from it
 def sp_initial_order(instance: Instance) -> JobOrder:
     """Sort by ready time, then due/weight, then cluster affinity, then id."""
 
@@ -86,17 +87,27 @@ def _memo_score(decoder: Decoder, kind: Objective) -> Callable[[_Order], int]:
     return scored
 
 
-def _floor(score: Callable[[_Order], int], ids: List[str],
-           evaluations: int) -> float:
-    """The least score over every order of `ids` where a solve making at
-    least `evaluations` scores would score them all anyway (the
+def _floor(score: Callable[[_Order], int], first: _Order, evaluations: int,
+           least: Callable[[], int]) -> float:
+    """The least score over every order of the jobs in `first` where a solve
+    making at least `evaluations` scores would score them all anyway (the
     coupon-collector bound n! ln n! <= evaluations); otherwise -inf.  A solve
     holding the floor cannot improve, so it stops without changing its
-    result."""
-    count = math.factorial(len(ids))
+    result.
+
+    `least()` is a score no order goes below.  The scan begins at `first`,
+    the solve's own first order, and stops at the first order scoring
+    `least()`; it is asked for only once the scan is due."""
+    count = math.factorial(len(first))
     if count > evaluations or count * math.log(count) > evaluations:
         return -math.inf
-    return min(map(score, itertools.permutations(ids)))
+    bound = least()
+    best = math.inf
+    for order in itertools.permutations(first):  # `first` comes first
+        best = min(best, score(order))
+        if best == bound:
+            break
+    return best
 
 
 def _two_positions(below: Callable[[int], int], n: int) -> Tuple[int, int]:
@@ -124,7 +135,7 @@ def run_sp(instance: Instance, kind: Objective,
     part_y = [j.id for j in instance.jobs if 0 < j.ready < mean_ready]
     part_z = [j.id for j in instance.jobs if j.ready > 0 and j.ready >= mean_ready]
 
-    decoder = Decoder(instance)
+    decoder = decoder_for(instance)
     # Memoize only where orders repeat: when the iterations' pairs reach the
     # n! orders (the birthday bound).  Default SP repeats 88% of its orders
     # at n = 5 but 0.3% at n = 15 and 0.1% at n = 25, where a memo costs memory.
@@ -132,9 +143,10 @@ def run_sp(instance: Instance, kind: Objective,
         score = _memo_score(decoder, kind)
     else:
         score = functools.partial(decoder.score, kind=kind)
-    floor = _floor(score, [j.id for j in instance.jobs], config.max_iterations)
     current = list(sp_initial_order(instance))
     best_order = tuple(current)
+    floor = _floor(score, best_order, config.max_iterations,
+                   functools.partial(decoder.lower_bound, kind))
     best_value = score(best_order)
     trace = [best_value]
 
@@ -223,17 +235,22 @@ def run_ga(instance: Instance, kind: Objective,
     ids = [j.id for j in instance.jobs]
     pop_size = config.pop_size
 
-    score = _memo_score(Decoder(instance), kind)
+    decoder = decoder_for(instance)
+    score = _memo_score(decoder, kind)
+    first = sp_initial_order(instance).order
     # Fewest scores a solve makes: the population, then stall_window + 1
     # generations before the stall rule can stop it.
-    floor = _floor(score, ids, pop_size * (
-        1 + min(config.max_generations, config.stall_window + 1)))
-    population = [sp_initial_order(instance).order]
-    for _ in range(pop_size - 1):
+    floor = _floor(score, first, pop_size * (
+        1 + min(config.max_generations, config.stall_window + 1)),
+        functools.partial(decoder.lower_bound, kind))
+    # A member at the floor is the one `min` picks below, and at the floor
+    # no later draw is used, so seeding stops there.
+    population, fits = [first], [score(first)]
+    while len(population) < pop_size and fits[-1] != floor:
         seq = ids[:]
         rng.shuffle(seq)
         population.append(tuple(seq))
-    fits = [score(p) for p in population]
+        fits.append(score(population[-1]))
     best_idx = min(range(len(fits)), key=fits.__getitem__)
     best_order, best_value = population[best_idx], fits[best_idx]
 

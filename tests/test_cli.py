@@ -155,6 +155,53 @@ def test_experiment_rejects_invalid_time_limit(tmp_path, capsys):
     assert not (out_dir / "records.csv").exists()
 
 
+def test_experiment_rejects_unknown_grid_key(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    # "equipments" is a typo: it used to fall back to both default parks.
+    grid.write_text(json.dumps({"n": [2], "ready": ["zero"], "T": [0.3],
+                                "R": [0.5], "equipments": [2],
+                                "objectives": ["cmax"]}))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(grid),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "unknown grid key" in err and "equipments" in err
+    assert not (out_dir / "records.csv").exists()
+
+
+def test_experiment_rejects_grid_that_is_not_an_object(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"n": [2]}]))
+    code, out, err = run(capsys, "experiment", "--grid", str(grid),
+                         "--out", str(tmp_path / "exp"), "--seed", "13")
+    assert code == 1
+    assert err.startswith("error:") and "JSON object" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "grid"])
+@pytest.mark.parametrize("replications", [0, -2])
+def test_experiment_rejects_replications_below_one(tmp_path, capsys, where,
+                                                   replications):
+    grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+            "equipment": [2], "objectives": ["cmax"]}
+    argv = []
+    if where == "grid":
+        grid["replications"] = replications
+    else:
+        argv = ["--replications", str(replications)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "replications" in err
+    assert not (out_dir / "records.csv").exists()
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "evaluate", "no-such.csv", "also-missing.json")
     assert code == 1

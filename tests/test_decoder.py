@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photosched.core import Instance, Job, Objective
+from photosched import decoder as decoder_module
+from photosched import exact, search
+from photosched.core import Instance, Job, Objective, instance_from_dict, instance_to_dict
 from photosched.decoder import (
     DecodeError,
     Decoder,
@@ -14,9 +16,12 @@ from photosched.decoder import (
     _entry_classes,
     cluster_affinity,
     decode,
+    decoder_for,
 )
 from photosched.evaluator import Schedule, check_feasibility, metrics, objective_value
+from photosched.exact import solve_exact
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
+from photosched.search import GAConfig, SPConfig, run_ga, run_sp, sp_initial_order
 
 
 def test_job_order_rejects_duplicates():
@@ -185,3 +190,67 @@ def test_decoder_rejects_non_permutations(case):
             decoder.schedule(wrong)
         with pytest.raises(DecodeError):
             decode(inst, wrong, Objective.CMAX)
+
+
+def _counted_inits(monkeypatch):
+    decoder_for.cache_clear()
+    sp_initial_order.cache_clear()
+    inits = []
+    init = Decoder.__init__
+
+    def counted(self, instance):
+        inits.append(instance)
+        init(self, instance)
+
+    monkeypatch.setattr(Decoder, "__init__", counted)
+    return inits
+
+
+def _cache_instance(mc, seed):
+    return generate_instance(GenConfig(n=3, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       T=0.6, R=2.5, equipment=mc, seed=seed))
+
+
+def _solves(instance):
+    out = []
+    for kind in Objective:
+        out.append(run_sp(instance, kind, SPConfig(max_iterations=50, seed=1)))
+        out.append(run_ga(instance, kind, GAConfig(pop_size=10, max_generations=10,
+                                                   stall_window=5, seed=1)))
+        out.append(solve_exact(instance, kind, time_limit=60))
+        out.append(decode(instance, sp_initial_order(instance), kind))
+    return out
+
+
+def test_one_decoder_per_instance_across_solvers(monkeypatch):
+    inst = _cache_instance(2, 7)
+    inits = _counted_inits(monkeypatch)
+    _solves(inst)
+    assert inits == [inst]
+    assert sp_initial_order.cache_info().misses == 1
+
+
+def test_shared_decoder_gives_the_results_of_uncached_builds(monkeypatch):
+    a, b = _cache_instance(2, 7), _cache_instance(1, 8)
+    a_copy = instance_from_dict(instance_to_dict(a))
+    assert a_copy == a and a_copy is not a
+    runs = (a, b, a, a_copy)
+    for module in (decoder_module, search, exact):
+        monkeypatch.setattr(module, "decoder_for", Decoder)
+    for module in (search, exact):
+        monkeypatch.setattr(module, "sp_initial_order", sp_initial_order.__wrapped__)
+    uncached = [_solves(inst) for inst in runs]
+    monkeypatch.undo()
+    inits = _counted_inits(monkeypatch)
+    assert [_solves(inst) for inst in runs] == uncached
+    # B displaces A; its equal copy then shares A's second build.
+    assert inits == [a, b, a]
+
+
+def test_stage_times_given_as_a_list_are_kept_as_a_hashable_tuple():
+    # The per-instance caches hash the instance, and so every job's times.
+    inst = Instance(jobs=(Job("J1", [0, 20, 75, 0, 30, 0]),),
+                    machines=tuple(equipment(2)))
+    assert inst.jobs[0].p == (0, 20, 75, 0, 30, 0)
+    _, value, _ = run_sp(inst, Objective.CMAX, SPConfig(max_iterations=5))
+    assert value == 125

@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from photosched import exact
 from photosched.core import Objective
 from photosched.experiments import (
@@ -99,6 +101,13 @@ def test_run_grid_shape_and_determinism():
     strip = lambda rs: [(r.cell, r.rep, r.objective, r.of_sp, r.of_ga,
                          r.of_exact, r.exact_status) for r in rs]
     assert strip(records) == strip(again)
+
+
+@pytest.mark.parametrize("replications", [0, -2])
+def test_run_grid_rejects_replications_below_one(replications):
+    with pytest.raises(ValueError, match="replications"):
+        run_grid(SMALL_GRID, [Objective.CMAX], replications=replications,
+                 master_seed=3, run_exact=False)
 
 
 def test_run_grid_without_exact():

@@ -127,3 +127,23 @@ def test_config_validation():
         GenConfig(n=0, seed=1)
     with pytest.raises(ValueError):
         GenConfig(n=3, equipment=3, seed=1)
+
+
+@pytest.mark.parametrize("T", [-0.1, 1.5, float("nan"), float("inf"), "0.3"])
+def test_config_rejects_tardiness_factor_outside_unit_interval(T):
+    # T = 1.5 used to give every job due date 0; NaN failed inside Fraction.
+    with pytest.raises(ValueError, match="^T must be a number in"):
+        GenConfig(n=3, T=T, seed=1)
+
+
+@pytest.mark.parametrize("R", [-1, -1e-9, float("nan"), float("inf"), "0.5"])
+def test_config_rejects_negative_or_undefined_due_range(R):
+    # R = -1 used to give every job the same due date.
+    with pytest.raises(ValueError, match="^R must be"):
+        GenConfig(n=3, R=R, seed=1)
+
+
+@pytest.mark.parametrize("T,R", [(0, 0), (1, 0), (0.6, 2.5), (1.0, 10)])
+def test_config_accepts_edges_of_the_due_date_design(T, R):
+    instance = generate_instance(GenConfig(n=4, T=T, R=R, seed=3))
+    assert all(job.due >= 0 for job in instance.jobs)

@@ -350,7 +350,7 @@ def test_sp_memoizes_only_where_orders_repeat(monkeypatch, n, memoized):
 
 
 def _no_floor(monkeypatch):
-    monkeypatch.setattr(search, "_floor", lambda score, ids, evaluations: -math.inf)
+    monkeypatch.setattr(search, "_floor", lambda *args: -math.inf)
 
 
 def _ranked_score(calls):
@@ -361,24 +361,51 @@ def _ranked_score(calls):
     return score
 
 
+def _unmet(asked=None):
+    """A bound below every score, so the floor scan scores every order."""
+    def bound():
+        if asked is not None:
+            asked.append(True)
+        return -math.inf
+    return bound
+
+
 @pytest.mark.parametrize("n,evaluations", [(5, 574), (6, 4737)])
 def test_floor_is_the_least_score_inside_the_coupon_collector_bound(n, evaluations):
     # 5! ln 5! = 574.5 and 6! ln 6! = 4737.7: one evaluation short, no floor.
-    ids = [f"{k}" for k in range(1, n + 1)]
-    calls = []
-    assert search._floor(_ranked_score(calls), ids, evaluations) == -math.inf
-    assert calls == []
-    floor = search._floor(_ranked_score(calls), ids, evaluations + 1)
+    ids = tuple(f"{k}" for k in range(1, n + 1))
+    calls, asked = [], []
+    assert search._floor(_ranked_score(calls), ids, evaluations,
+                         _unmet(asked)) == -math.inf
+    # Short of the coupon-collector bound, the per-job bound is not asked for.
+    assert calls == [] and asked == []
+    floor = search._floor(_ranked_score(calls), ids, evaluations + 1, _unmet(asked))
     assert sorted(calls) == sorted(itertools.permutations(ids))
     assert floor == -int("".join(reversed(ids)), 36)
+    assert asked == [True]
 
 
 def test_floor_holds_for_one_job_and_never_for_large_n():
     calls = []
-    assert search._floor(_ranked_score(calls), ["J1"], 1) == -int("J1", 36)
-    assert search._floor(_ranked_score(calls), [f"J{k}" for k in range(200)],
-                         10**9) == -math.inf
+    assert search._floor(_ranked_score(calls), ("J1",), 1, _unmet()) == -int("J1", 36)
+    assert search._floor(_ranked_score(calls), tuple(f"J{k}" for k in range(200)),
+                         10**9, _unmet()) == -math.inf
     assert calls == [("J1",)]
+
+
+@pytest.mark.parametrize("first", ["12345", "31524"])
+@pytest.mark.parametrize("k", [1, 2, 7, 120])
+def test_floor_stops_at_the_first_order_meeting_the_bound(first, k):
+    orders = list(itertools.permutations(tuple(first)))
+    calls = []
+
+    def score(order):  # the k-th order scanned and every later one score 0
+        calls.append(order)
+        return int(orders.index(order) < k - 1)
+
+    assert search._floor(score, tuple(first), 575, lambda: 0) == 0
+    assert calls == orders[:k]
+    assert calls[0] == tuple(first)
 
 
 SMALL_SP = SPConfig(max_iterations=100, seed=7)
@@ -452,3 +479,42 @@ def test_floor_scores_no_extra_order_above_the_bound(monkeypatch, solve, config,
     for kind in Objective:
         solve(inst, kind, config)
     assert scored == with_floor
+
+
+# Default GA on this instance: population[0], SP's initial order, misses the
+# floor, and member 3 is the first to hold it.  The TWT floor is the per-job
+# bound; the WCT floor lies above it, so the floor scan scores all 5! orders.
+@pytest.mark.parametrize("kind,at_bound", [(Objective.TWT, True),
+                                           (Objective.WCT, False)])
+def test_ga_seeding_stops_at_the_floor(monkeypatch, kind, at_bound):
+    inst = _desk_instance(5, 2, "mixed", 6)
+    config = GAConfig()
+    scored, scanned = [], []
+    memo_score, floor = search._memo_score, search._floor
+
+    def counted_memo(decoder, kind):
+        score = memo_score(decoder, kind)
+
+        def counted(order):
+            scored.append(order)
+            return score(order)
+        return counted
+
+    def marked_floor(*args):
+        value = floor(*args)
+        scanned.append(len(scored))
+        return value
+
+    monkeypatch.setattr(search, "_memo_score", counted_memo)
+    monkeypatch.setattr(search, "_floor", marked_floor)
+    result = run_ga(inst, kind, config)
+    decoder = Decoder(inst)
+    assert (result[1] == decoder.lower_bound(kind)) == at_bound
+    assert scanned[0] < 120 if at_bound else scanned[0] == 120
+    # After the floor scan, only the seeded members are scored.
+    seeded = [decoder.score(order, kind) for order in scored[scanned[0]:]]
+    assert scored[scanned[0]] == sp_initial_order(inst).order
+    assert len(seeded) == 4 < config.pop_size
+    assert seeded[-1] == result[1] < min(seeded[:-1])
+    _no_floor(monkeypatch)
+    assert run_ga(inst, kind, config) == result
