@@ -161,6 +161,9 @@ def _cmd_experiment(args) -> int:
         unknown = sorted(set(grid) - set(DEFAULT_GRID) - {"objectives", "replications"})
         if unknown:
             raise ValueError(f"{args.grid}: unknown grid key(s): {', '.join(unknown)}")
+        for key, value in grid.items():
+            if key != "replications" and not (isinstance(value, list) and value):
+                raise ValueError(f"{args.grid}: grid key '{key}' must be a non-empty list")
     else:
         grid = dict(DEFAULT_GRID)
     objectives = [Objective(v) for v in grid.pop("objectives", ["cmax", "wct", "twt"])]

@@ -2,7 +2,9 @@
 
 `export_milp` materializes the disjunctive big-M formulation literally:
 shared precedence binaries per job pair, assignment binaries per eligible
-(stage, machine) pair, completion variables per (stage, job).
+(stage, machine) pair, completion variables per (stage, job).  Models are
+built a row family at a time, as numpy blocks over integer columns
+(`MilpModel`).
 
 `solve_exact` optimizes a relaxation of that model in which precedence
 binaries are indexed per machine reservation pair, so that different
@@ -19,9 +21,9 @@ without a HiGHS call.
 """
 
 import time
-from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -33,7 +35,6 @@ from .core import (
     STAGES,
     TOOL_STAGES,
     Instance,
-    Job,
     Objective,
     big_m,
     eligible_machines,
@@ -68,53 +69,112 @@ class LinearRow(NamedTuple):
     rhs: float
 
 
+class Rows(NamedTuple):
+    """A block of rows: row i sums `coefs[i]` times the columns `cols[i]`
+    (a zero coefficient pads a short row: no term) and bounds the sum by
+    `lower[i]` and `upper[i]`.  `cols` and `coefs` hold a row's terms on
+    their last axis; the axes before it index the rows in C order."""
+    cols: np.ndarray
+    coefs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _rows(cols, coefs, sense: str, rhs) -> Rows:
+    """Rows over `cols` with `coefs` (broadcast to `cols`) and one `sense`
+    ("<=", ">=", "=") against `rhs` (broadcast to the rows)."""
+    cols = np.asarray(cols)
+    full = np.empty(cols.shape)
+    full[...] = coefs
+    bound = np.empty(cols.shape[:-1])
+    bound[...] = rhs
+    free = np.full(bound.shape, np.inf)
+    return Rows(cols, full, -free if sense == "<=" else bound,
+                free if sense == ">=" else bound)
+
+
 @dataclass
 class MilpModel:
-    """A linear model whose rows are kept in compressed sparse row form.
+    """A linear model over integer columns: `continuous + binary`, in order.
 
-    Row i is named `row_names[i]`; its terms are `term_vars` and
-    `term_coefs` from `indptr[i]` up to `indptr[i + 1]`, in the order `add`
-    was given them, and it bounds their sum between `row_lower[i]` and
-    `row_upper[i]` (one of them infinite unless the row is an equality).
+    Rows are added one family at a time as `Rows` blocks and keep that
+    order.  Each family names its rows on demand, since only the LP text,
+    `constraints` and a failed check read them.  `weights` holds the
+    objective by column.  `matrix` joins the blocks into one sparse
+    matrix, and `constraints` reads it back with variable names.
     """
 
     name: str
     kind: Objective
     continuous: List[str] = field(default_factory=list)
     binary: List[str] = field(default_factory=list)
-    objective: Dict[str, float] = field(default_factory=dict)
+    weights: Dict[int, float] = field(default_factory=dict)
     big_m: int = 0
-    row_names: List[str] = field(default_factory=list)
-    indptr: array = field(default_factory=lambda: array("q", [0]))
-    term_vars: List[str] = field(default_factory=list)
-    term_coefs: array = field(default_factory=lambda: array("d"))
-    row_lower: array = field(default_factory=lambda: array("d"))
-    row_upper: array = field(default_factory=lambda: array("d"))
+    blocks: List[Rows] = field(default_factory=list)
+    row_namers: List[Callable[[], List[str]]] = field(default_factory=list)
+
+    @property
+    def names(self) -> List[str]:
+        """Variable names by column."""
+        return self.continuous + self.binary
+
+    @property
+    def objective(self) -> Dict[str, float]:
+        """The objective's weights by variable name."""
+        names = self.names
+        return {names[col]: w for col, w in self.weights.items()}
 
     @property
     def counts(self) -> Tuple[int, int, int, int]:
         """(constraints, continuous vars, binary vars, total vars)."""
         nc = len(self.continuous)
         nb = len(self.binary)
-        return (len(self.row_names), nc, nb, nc + nb)
+        return (sum(len(b.lower) for b in self.blocks), nc, nb, nc + nb)
 
-    def add(self, name: str, coeffs: Dict[str, float], sense: str, rhs: float) -> None:
-        rhs = float(rhs)
-        self.row_names.append(name)
-        self.term_vars.extend(coeffs)
-        self.term_coefs.extend(coeffs.values())
-        self.indptr.append(len(self.term_vars))
-        self.row_lower.append(-np.inf if sense == "<=" else rhs)
-        self.row_upper.append(np.inf if sense == ">=" else rhs)
+    @property
+    def row_names(self) -> List[str]:
+        """Row names in row order, written by each family when asked."""
+        return [name for names in self.row_namers for name in names()]
+
+    def add_rows(self, names: Callable[[], List[str]], rows: Rows) -> None:
+        """Append a family's rows, named in order by `names()`."""
+        width = rows.cols.shape[-1]
+        self.row_namers.append(names)
+        self.blocks.append(Rows(rows.cols.reshape(-1, width),
+                                rows.coefs.reshape(-1, width),
+                                rows.lower.ravel(), rows.upper.ravel()))
+
+    def joined(self):
+        """(cols, coefs, starts, lower, upper): every row's padded terms end
+        to end, where each row starts in them, and the row bounds."""
+        blocks = self.blocks
+        widths = np.repeat([b.cols.shape[1] for b in blocks],
+                           [len(b.lower) for b in blocks])
+        return (np.concatenate([b.cols.ravel() for b in blocks]),
+                np.concatenate([b.coefs.ravel() for b in blocks]),
+                np.cumsum(widths) - widths,
+                np.concatenate([b.lower for b in blocks]),
+                np.concatenate([b.upper for b in blocks]))
+
+    def matrix(self):
+        """(A, lower, upper): the rows as a CSR matrix over the columns, each
+        row's terms in the order given, and the row bounds."""
+        cols, coefs, starts, lower, upper = self.joined()
+        A = sparse.csr_matrix((coefs, cols, np.append(starts, len(cols))),
+                              shape=(len(starts), len(self.continuous) + len(self.binary)))
+        A.eliminate_zeros()  # the padding
+        return A, lower, upper
 
     @property
     def constraints(self) -> Tuple[LinearRow, ...]:
         """The rows as `LinearRow`s with their terms sorted by variable name."""
+        A, lower, upper = self.matrix()
+        terms = list(zip(map(self.names.__getitem__, A.indices.tolist()),
+                         A.data.tolist()))
+        indptr = A.indptr.tolist()
         rows = []
-        terms = list(zip(self.term_vars, self.term_coefs))
-        for name, start, end, lo, up in zip(self.row_names, self.indptr,
-                                            self.indptr[1:], self.row_lower,
-                                            self.row_upper):
+        for name, start, end, lo, up in zip(self.row_names, indptr, indptr[1:],
+                                            lower.tolist(), upper.tolist()):
             coeffs = tuple(sorted(terms[start:end]))
             sense = "=" if lo == up else (">=" if up == np.inf else "<=")
             rows.append(LinearRow(name, coeffs, sense, up if lo == -np.inf else lo))
@@ -140,48 +200,68 @@ def _yvar(k: str, l: str) -> str:
     return f"y_{k}_{l}"
 
 
-# A job's reservation of one machine from its entry to its exit stage:
-# (completion var at entry, completion var at exit, assignment var,
-#  processing time at entry).
-Reservation = Tuple[str, str, str, int]
+def _names(groups, tags) -> List[str]:
+    """Names group by group and tag by tag, one per prefix in the group."""
+    return [pre + tag for prefixes in groups for tag in tags for pre in prefixes]
 
 
-def _reservation(job: Job, entry: int, exit_stage: int, x: str) -> Reservation:
-    return (_cvar(entry, job.id), _cvar(exit_stage, job.id), x, job.duration(entry))
+# Reservations of one machine, one per entry of arrays broadcast together:
+# (completion column at entry, completion column at exit, assignment
+# column, processing time at entry).
+Reservation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _either_order(M: int, y: str, first: Reservation, second: Reservation):
-    """The big-M pair keeping two reservations of one machine apart.
+def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
+    """The big-M pairs keeping reservations of one machine apart.
 
-    Returns two (coefficients, sense, rhs) rows, both slack unless both
-    assignment variables are 1.  The first makes `first` start after
-    `second` ends when y = 0; the second makes `second` start after
-    `first` ends when y = 1.
+    For each pair of reservations (`y` and both broadcast together), two
+    rows on a new axis before the terms: `first` starts after `second`
+    ends when y = 0, then `second` starts after `first` ends when y = 1;
+    both are slack unless both assignment columns are 1.
     """
     (ck, dk, xk, pk), (cl, dl, xl, pl) = first, second
-    return (({ck: 1, dl: -1, y: M, xk: -M, xl: -M}, ">=", pk - 2 * M),
-            ({cl: 1, dk: -1, y: -M, xk: -M, xl: -M}, ">=", pl - 3 * M))
+    shape = np.broadcast(ck, dl, y, xk, xl, cl, dk).shape
+    cols = np.empty(shape + (10,), np.int64)
+    for t, col in enumerate((ck, dl, y, xk, xl, cl, dk, y, xk, xl)):
+        cols[..., t] = col
+    rhs = np.empty(shape + (2,))
+    rhs[..., 0] = pk - 2 * M
+    rhs[..., 1] = pl - 3 * M
+    return _rows(cols.reshape(shape + (2, 5)),
+                 [[1, -1, M, -M, -M], [1, -1, -M, -M, -M]], ">=", rhs)
 
 
-def _add_chain(model: MilpModel, job: Job, stages: Tuple[int, ...]) -> None:
-    """The job's ready row at its first stage and a chain row per later one."""
-    first = stages[0]
-    model.add(f"ready_{job.id}", {_cvar(first, job.id): 1}, ">=",
-              job.duration(first) + job.ready)
-    for prev, s in zip(stages, stages[1:]):
-        model.add(f"chain_{s}_{job.id}",
-                  {_cvar(s, job.id): 1, _cvar(prev, job.id): -1},
-                  ">=", job.duration(s))
+def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
+               C: np.ndarray, p: np.ndarray, ready) -> None:
+    """Each job's ready row at its first stage and a chain row per later one.
+
+    `C` and `p` hold the jobs' completion columns and times along `stages`.
+    """
+    cols = np.empty(C.shape + (2,), np.int64)
+    cols[..., 0] = C
+    cols[:, 0, 1] = 0  # the ready row has no predecessor: coefficient 0
+    cols[:, 1:, 1] = C[:, :-1]
+    rhs = np.array(p, float)
+    rhs[:, 0] += ready
+    tags = ["ready_"] + [f"chain_{s}_" for s in stages[1:]]
+    coefs = [[1, 0]] + [[1, -1]] * (len(stages) - 1)
+    model.add_rows(partial(_names, [tags], job_ids), _rows(cols, coefs, ">=", rhs))
 
 
-def _add_objective_link(model: MilpModel, job: Job, last: int) -> None:
-    """CMAX >= C (cmax) or T >= C - due (twt), C the job's completion at `last`."""
+def _add_objective_link(model: MilpModel, jobs, last, cmax, tardy) -> None:
+    """CMAX >= C (cmax) or T >= C - due (twt), C the jobs' completion columns
+    `last`, and `cmax` or `tardy` the CMAX column or the jobs' T columns."""
     if model.kind == Objective.CMAX:
-        model.add(f"cmax_link_{job.id}",
-                  {"CMAX": 1, _cvar(last, job.id): -1}, ">=", 0)
+        prefix, top, rhs = "cmax_link_", cmax, 0
     elif model.kind == Objective.TWT:
-        model.add(f"tardy_{job.id}",
-                  {f"T_{job.id}": 1, _cvar(last, job.id): -1}, ">=", -job.due)
+        prefix, top, rhs = "tardy_", tardy, [-j.due for j in jobs]
+    else:
+        return
+    cols = np.empty((len(jobs), 2), np.int64)
+    cols[:, 0] = top
+    cols[:, 1] = last
+    model.add_rows(partial(_names, [(prefix,)], [j.id for j in jobs]),
+                   _rows(cols, (1, -1), ">=", rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,100 +269,124 @@ def _add_objective_link(model: MilpModel, job: Job, last: int) -> None:
 # for the order-consistent re-solve
 
 def export_milp(instance: Instance, kind: Objective) -> MilpModel:
-    """Build the big-M formulation as a literal linear model."""
+    """Build the big-M formulation as a literal linear model.
+
+    Each row family is one block over tables of columns: C[j, s - 1] per
+    job and stage, X[q, j] per (stage, eligible machine) slot and job, and
+    Y[i] per job pair K[i] < L[i].
+    """
     M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
-    jobs = list(instance.jobs)
-    last = STAGES[-1]
+    jobs = instance.jobs
+    ids = [job.id for job in jobs]
+    n = len(jobs)
+    p = np.array([job.p for job in jobs])  # p[j, s - 1]
 
-    for job in jobs:
-        for s in STAGES:
-            model.continuous.append(_cvar(s, job.id))
-    model.continuous.append("CMAX")
+    # Continuous columns: C by job and stage, CMAX, then (twt) tardiness.
+    C = np.arange(n * len(STAGES)).reshape(n, len(STAGES))
+    # (Names are prefix + job id: the job id ends every variable name.)
+    model.continuous = _names([[_cvar(s, "") for s in STAGES]], ids) + ["CMAX"]
+    cmax = C.size
+    tardy = cmax + 1 + np.arange(n)
     if kind == Objective.TWT:
-        for job in jobs:
-            model.continuous.append(f"T_{job.id}")
+        model.continuous += [f"T_{j}" for j in ids]
 
+    # Binary columns: X, then Y; y = 1 puts K[i] first.
     stage_machines = {s: eligible_machines(instance, s) for s in STAGES}
-    for s in STAGES:
-        for m in stage_machines[s]:
-            for job in jobs:
-                model.binary.append(_xvar(s, m.id, job.id))
-    # Job pairs with their precedence binary; y = 1 puts k first.
-    pairs = [(a.id, b.id, _yvar(a.id, b.id))
-             for i, a in enumerate(jobs) for b in jobs[i + 1:]]
-    model.binary.extend(y for _, _, y in pairs)
+    slots = [(s, m.id) for s in STAGES for m in stage_machines[s]]
+    slot = {sm: q for q, sm in enumerate(slots)}
+    X = len(model.continuous) + np.arange(len(slots) * n).reshape(len(slots), n)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    K, L = np.array(pairs, np.int64).reshape(-1, 2).T
+    Y = len(model.continuous) + X.size + np.arange(len(pairs))
+    pair_tags = [f"{ids[k]}_{ids[l]}" for k, l in pairs]
+    model.binary = (_names([(_xvar(s, mid, ""),) for s, mid in slots], ids)
+                    + [_yvar(ids[k], ids[l]) for k, l in pairs])
 
+    weights = [float(j.weight) for j in jobs]
     if kind == Objective.CMAX:
-        model.objective = {"CMAX": 1.0}
+        model.weights = {cmax: 1.0}
     elif kind == Objective.WCT:
-        model.objective = {_cvar(last, j.id): float(j.weight) for j in jobs}
+        model.weights = dict(zip(C[:, -1].tolist(), weights))
     else:
-        model.objective = {f"T_{j.id}": float(j.weight) for j in jobs}
+        model.weights = dict(zip(tardy.tolist(), weights))
 
-    for job in jobs:
-        _add_chain(model, job, STAGES)
+    _add_chain(model, ids, STAGES, C, p, [job.ready for job in jobs])
 
     # Machine exclusivity at every stage on every eligible machine.
-    for s in STAGES:
-        for m in stage_machines[s]:
-            held = {j.id: _reservation(j, s, s, _xvar(s, m.id, j.id)) for j in jobs}
-            for k, l, y in pairs:
-                k_waits, l_waits = _either_order(M, y, held[k], held[l])
-                model.add(f"no_clash_a_{s}_{m.id}_{k}_{l}", *k_waits)
-                model.add(f"no_clash_b_{s}_{m.id}_{k}_{l}", *l_waits)
+    at = np.array([s - 1 for s, _ in slots], np.int64)
+    held = (C[:, at].T, C[:, at].T, X, p[:, at].T)  # by (slot, job)
+    model.add_rows(
+        lambda: _names([(f"no_clash_a_{s}_{mid}_", f"no_clash_b_{s}_{mid}_")
+                        for s, mid in slots], pair_tags),
+        _either_order(M, Y, tuple(a[:, K] for a in held), tuple(a[:, L] for a in held)))
 
-    for job in jobs:
-        _add_objective_link(model, job, last)
+    _add_objective_link(model, jobs, C[:, -1], cmax, tardy)
 
-    for s in STAGES:
-        for job in jobs:
-            coeffs = {_xvar(s, m.id, job.id): 1.0 for m in stage_machines[s]}
-            if not coeffs:
-                continue
-            tag = "on" if job.needs(s) else "off"
-            model.add(f"assign_{tag}_{s}_{job.id}", coeffs, "=",
-                      1 if job.needs(s) else 0)
+    # One machine per needed stage, none per skipped one.
+    served = [s for s in STAGES if stage_machines[s]]
+    options = [[slot[s, m.id] for m in stage_machines[s]] for s in served]
+    width = max(map(len, options))
+    model.add_rows(lambda: [f"assign_{'on' if job.needs(s) else 'off'}_{s}_{job.id}"
+                            for s in served for job in jobs],
+                   _rows(X[[q + [0] * (width - len(q)) for q in options]].transpose(0, 2, 1),
+                         [[[1] * len(q) + [0] * (width - len(q))] for q in options], "=",
+                         p.T[[s - 1 for s in served]] > 0))
 
-    # Cluster-stay equalities and the whole-span busy pairs, widest span first.
+    # Per cluster machine, widest span first: its stay equalities (x at
+    # each linked stage equals x at entry), then its whole-span busy pairs.
     clusters = sorted(CLUSTER_ENTRY, key=lambda cls: -len(TOOL_STAGES[cls]))
-    for cls in clusters:
-        covered = TOOL_STAGES[cls]
-        entry, linked, exit_stage = covered[0], covered[1:], covered[-1]
-        for m in instance.machines_of_class(cls):
-            for job in jobs:
-                coeffs = {_xvar(s, m.id, job.id): 1.0 for s in linked}
-                coeffs[_xvar(entry, m.id, job.id)] = -float(len(linked))
-                model.add(f"stay_{cls.lower()}_{m.id}_{job.id}", coeffs, "=", 0)
-            held = {j.id: _reservation(j, entry, exit_stage, _xvar(entry, m.id, j.id))
-                    for j in jobs}
-            for k, l, y in pairs:
-                k_waits, l_waits = _either_order(M, y, held[k], held[l])
-                model.add(f"busy_{cls.lower()}_a_{m.id}_{k}_{l}", *k_waits)
-                model.add(f"busy_{cls.lower()}_b_{m.id}_{k}_{l}", *l_waits)
+    cells = [m for cls in clusters for m in instance.machines_of_class(cls)]
+    if cells:
+        spans = [TOOL_STAGES[m.tool_class] for m in cells]
+        covered = [[slot[s, m.id] for s in span] for m, span in zip(cells, spans)]
+        entry = np.array([span[0] - 1 for span in spans], np.int64)
+        held = (C[:, entry].T, C[:, [span[-1] - 1 for span in spans]].T,
+                X[[q[0] for q in covered]], p[:, entry].T)  # by (machine, job)
+        busy = _either_order(M, Y, tuple(a[:, K] for a in held),
+                             tuple(a[:, L] for a in held))
+        width = busy.cols.shape[-1]
+        at = np.array([q + [0] * (width - len(q)) for q in covered])
+        stay = _rows(X[at].transpose(0, 2, 1),
+                     [[[1 - len(q)] + [1] * (len(q) - 1) + [0] * (width - len(q))]
+                      for q in covered], "=", 0)
+
+        def names():
+            out = []
+            for m in cells:
+                c = m.tool_class.lower()
+                out += _names([(f"stay_{c}_{m.id}_",)], ids)
+                out += _names([(f"busy_{c}_a_{m.id}_", f"busy_{c}_b_{m.id}_")], pair_tags)
+            return out
+
+        model.add_rows(names, Rows(*(
+            np.concatenate([s, b.reshape(s.shape[:1] + (2 * len(pairs),) + s.shape[2:])], 1)
+            for s, b in zip(stay, busy))))
 
     # A job needing a stage that bars a cluster (the pre-develop bake) may
     # not enter it.
     for bar in sorted({s for bars in CLUSTER_BARS.values() for s in bars}):
-        barred = [mc for cls in clusters if bar in CLUSTER_BARS[cls]
-                  for mc in instance.machines_of_class(cls)]
-        for oven in stage_machines[bar]:
-            for mc in barred:
-                for job in jobs:
-                    model.add(f"bake_route_{oven.id}_{mc.id}_{job.id}",
-                              {_xvar(bar, oven.id, job.id): 1,
-                               _xvar(CLUSTER_ENTRY[mc.tool_class], mc.id, job.id): 1},
-                              "<=", 1)
+        barred = [mc for mc in cells if bar in CLUSTER_BARS[mc.tool_class]]
+        bakes = stage_machines[bar]
+        cols = np.empty((len(bakes), len(barred), n, 2), np.int64)
+        cols[..., 0] = X[[slot[bar, o.id] for o in bakes]][:, None]
+        cols[..., 1] = X[[slot[CLUSTER_ENTRY[mc.tool_class], mc.id] for mc in barred]]
+        model.add_rows(partial(_names, [(f"bake_route_{o.id}_{mc.id}_",)
+                                        for o in bakes for mc in barred], ids),
+                       _rows(cols, 1, "<=", 1))
 
-    # Oven reentry: stage-4 and stage-6 visits share one timeline.
-    for oven in instance.machines_of_class("B"):
-        held = {(j.id, s): _reservation(j, s, s, _xvar(s, oven.id, j.id))
-                for j in jobs for s in (4, 6)}
-        for k, l, y in pairs:
-            rows = (_either_order(M, y, held[k, 4], held[l, 6])
-                    + _either_order(M, y, held[k, 6], held[l, 4]))
-            for tag, row in zip("abcd", rows):
-                model.add(f"reentry_{tag}_{oven.id}_{k}_{l}", *row)
+    # Oven reentry: stage-4 and stage-6 visits share one timeline.  Per
+    # oven and pair: k at 4 against l at 6 (rows a, b), then k at 6
+    # against l at 4 (rows c, d).
+    ovens = instance.machines_of_class("B")
+    if ovens:
+        x46 = X[[[slot[s, o.id] for s in (4, 6)] for o in ovens]].transpose(0, 2, 1)
+        c46, p46 = C[:, [3, 5]], p[:, [3, 5]]  # by (job, stage 4 / 6)
+        model.add_rows(
+            lambda: _names([tuple(f"reentry_{t}_{o.id}_" for t in "abcd") for o in ovens],
+                           pair_tags),
+            _either_order(M, Y[:, None], (c46[K], c46[K], x46[:, K], p46[K]),
+                          (c46[L, ::-1], c46[L, ::-1], x46[:, L, ::-1], p46[L, ::-1])))
     return model
 
 
@@ -391,15 +495,16 @@ def check_values(model: MilpModel, values: Dict[str, float]) -> List[str]:
     A row holds when its sum lies within its bounds widened by
     CHECK_TOL * (1 + |rhs|).
     """
-    nnz = len(model.term_vars)
-    x = np.fromiter(map(values.__getitem__, model.term_vars), float, count=nnz)
-    row_of = np.repeat(np.arange(len(model.row_names)), np.diff(model.indptr))
-    lhs = np.bincount(row_of, weights=np.array(model.term_coefs) * x,
-                      minlength=len(model.row_names))
-    lower, upper = np.array(model.row_lower), np.array(model.row_upper)
+    cols, coefs, starts, lower, upper = model.joined()
+    names = model.names
+    x = np.fromiter(map(values.__getitem__, names), float, count=len(names))
+    lhs = np.add.reduceat(coefs * x[cols], starts)  # padding adds 0
     slack = CHECK_TOL * (1.0 + np.abs(np.where(lower == -np.inf, upper, lower)))
-    ok = (lhs >= lower - slack) & (lhs <= upper + slack)
-    return [model.row_names[i] for i in np.flatnonzero(~ok)]
+    bad = np.flatnonzero(~((lhs >= lower - slack) & (lhs <= upper + slack)))
+    if not len(bad):
+        return []
+    row_names = model.row_names
+    return [row_names[i] for i in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -408,105 +513,117 @@ def check_values(model: MilpModel, values: Dict[str, float]) -> List[str]:
 def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
-    jobs = list(instance.jobs)
+    jobs = instance.jobs
+    p = np.array([job.p for job in jobs])  # p[j, s - 1]
 
-    for job in jobs:
+    # Continuous columns: C[j, s - 1] for the stages each job needs, then
+    # CMAX (cmax) or each job's tardiness (twt).
+    C = np.full(p.shape, -1)
+    for j, job in enumerate(jobs):
         for s in job.stages:
+            C[j, s - 1] = len(model.continuous)
             model.continuous.append(_cvar(s, job.id))
+    cmax = len(model.continuous)
+    tardy = cmax + np.arange(len(jobs))
     if kind == Objective.CMAX:
         model.continuous.append("CMAX")
-        model.objective = {"CMAX": 1.0}
+        model.weights = {cmax: 1.0}
     elif kind == Objective.WCT:
-        model.objective = {_cvar(job.stages[-1], job.id): float(job.weight)
-                           for job in jobs}
+        model.weights = {int(C[j, job.stages[-1] - 1]): float(job.weight)
+                         for j, job in enumerate(jobs)}
     else:
-        for job in jobs:
-            model.continuous.append(f"T_{job.id}")
-        model.objective = {f"T_{job.id}": float(job.weight) for job in jobs}
+        model.continuous += [f"T_{job.id}" for job in jobs]
+        model.weights = dict(zip(tardy.tolist(), (float(job.weight) for job in jobs)))
 
     # Assignment variables; cluster machines get one committing variable at
     # their entry stage, with the covered stages tied to it.
-    x_options: Dict[Visit, List[str]] = {}
-    # machine -> (job id, exit stage, reservation) per possible reservation
-    occupations: Dict[str, List[Tuple[str, int, Reservation]]] = {}
-    for job in jobs:
-        for s in job.stages:
-            x_options[(job.id, s)] = []
+    x_options: Dict[Visit, List[int]] = {(job.id, s): [] for job in jobs for s in job.stages}
+    # Every possible reservation, and per machine (job id, "job_exit"
+    # tag, reservation index) for each of its own.
+    reservations: List[Tuple[int, int, int, int]] = []
+    occupations: Dict[str, List[Tuple[str, str, int]]] = {}
     families = {job.id: {r.family for r in park_routes(instance, job)}
                 for job in jobs}
+    completion = C.tolist()
+
+    def reserve(machine, j, entry, exit_stage):
+        job = jobs[j]
+        x = len(model.continuous) + len(model.binary)
+        model.binary.append(_xvar(entry, machine.id, job.id))
+        occupations[machine.id].append((job.id, f"{job.id}_{exit_stage}", len(reservations)))
+        reservations.append((completion[j][entry - 1], completion[j][exit_stage - 1], x,
+                             job.duration(entry)))
+        return x
+
     for machine in instance.machines:
         occupations[machine.id] = []
-        for job in jobs:
+        for j, job in enumerate(jobs):
             if machine.is_cluster:
                 if machine.tool_class not in families[job.id]:
                     continue
                 covered = machine.covered_stages
-                xname = _xvar(covered[0], machine.id, job.id)
-                model.binary.append(xname)
+                x = reserve(machine, j, covered[0], covered[-1])
                 for s in covered:
-                    x_options[(job.id, s)].append(xname)
-                occupations[machine.id].append(
-                    (job.id, covered[-1], _reservation(job, covered[0], covered[-1], xname)))
+                    x_options[(job.id, s)].append(x)
             else:
                 for s in machine.covered_stages:
-                    if not job.needs(s):
-                        continue
-                    xname = _xvar(s, machine.id, job.id)
-                    model.binary.append(xname)
-                    x_options[(job.id, s)].append(xname)
-                    occupations[machine.id].append((job.id, s, _reservation(job, s, s, xname)))
+                    if job.needs(s):
+                        x_options[(job.id, s)].append(reserve(machine, j, s, s))
 
     # Instance validation guarantees every needed stage an option.
-    for (job_id, s), options in x_options.items():
-        model.add(f"assign_{s}_{job_id}", {x: 1.0 for x in options}, "=", 1)
+    width = max(map(len, x_options.values()))
+    model.add_rows(lambda: [f"assign_{s}_{job_id}" for job_id, s in x_options],
+                   _rows([xs + [0] * (width - len(xs)) for xs in x_options.values()],
+                         [[1] * len(xs) + [0] * (width - len(xs))
+                          for xs in x_options.values()], "=", 1))
 
-    for job in jobs:
-        _add_chain(model, job, job.stages)
-        _add_objective_link(model, job, job.stages[-1])
+    for j, job in enumerate(jobs):
+        at = np.array(job.stages) - 1
+        _add_chain(model, [job.id], job.stages, C[j:j + 1, at], p[j:j + 1, at], job.ready)
+        _add_objective_link(model, [job], C[j, at[-1]], cmax, tardy[j])
 
+    # A fresh z per pair of reservations of one machine by two jobs;
+    # z = 1: front's reservation precedes back's.
+    tags, fronts, backs = [], [], []
     for mid, occs in occupations.items():
-        for i, (a, fa, front) in enumerate(occs):
-            for b, fb, back in occs[i + 1:]:
-                if a == b:
-                    continue
-                # z = 1: front's reservation precedes back's.
-                z = f"z_{mid}_{a}_{fa}_{b}_{fb}"
-                model.binary.append(z)
-                front_waits, back_waits = _either_order(M, z, front, back)
-                model.add(f"order_a_{mid}_{a}_{fa}_{b}_{fb}", *back_waits)
-                model.add(f"order_b_{mid}_{a}_{fa}_{b}_{fb}", *front_waits)
+        for i, (a, ta, front) in enumerate(occs):
+            for b, tb, back in occs[i + 1:]:
+                if a != b:
+                    tags.append(f"{mid}_{ta}_{tb}")
+                    fronts.append(front)
+                    backs.append(back)
+    if tags:
+        z = len(model.continuous) + len(model.binary) + np.arange(len(tags))
+        model.binary += _names([("z_",)], tags)
+        held = np.array(reservations).T
+        rows = _either_order(M, z, tuple(held[:, fronts]), tuple(held[:, backs]))
+        # back waits (order_a), then front waits (order_b)
+        model.add_rows(partial(_names, [("order_a_", "order_b_")], tags),
+                       Rows(*(a[:, ::-1] for a in rows)))
     return model
 
 
 def _solve_model(model: MilpModel, time_limit: Optional[float]):
-    names = model.continuous + model.binary
-    index = {v: i for i, v in enumerate(names)}
-    n = len(names)
+    A, lower, upper = model.matrix()
+    n = A.shape[1]
     c = np.zeros(n)
-    for v, coeff in model.objective.items():
-        c[index[v]] = coeff
-
-    cols = np.fromiter(map(index.__getitem__, model.term_vars), np.int64,
-                       count=len(model.term_vars))
-    A = sparse.csr_matrix((np.array(model.term_coefs), cols, np.array(model.indptr)),
-                          shape=(len(model.row_names), n))
+    c[list(model.weights)] = list(model.weights.values())
     # Binary columns follow the continuous ones.
     integrality = np.zeros(n)
-    upper = np.full(n, np.inf)
+    upper_x = np.full(n, np.inf)
     integrality[len(model.continuous):] = 1
-    upper[len(model.continuous):] = 1
+    upper_x[len(model.continuous):] = 1
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    res = milp(c=c, constraints=LinearConstraint(A, np.array(model.row_lower),
-                                                 np.array(model.row_upper)),
-               integrality=integrality, bounds=Bounds(np.zeros(n), upper),
+    res = milp(c=c, constraints=LinearConstraint(A, lower, upper),
+               integrality=integrality, bounds=Bounds(np.zeros(n), upper_x),
                options=options)
     if res.status not in (0, 1, 2):
         raise SolverError(f"HiGHS status {res.status}: {res.message}")
     values = None
     if res.x is not None:
-        values = dict(zip(names, res.x.tolist()))
+        values = dict(zip(model.names, res.x.tolist()))
     return res.status, values
 
 

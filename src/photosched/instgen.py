@@ -124,13 +124,18 @@ def gen_ready(rng: random.Random, scenario: ReadyScenario,
     return ready
 
 
-def gen_due(rng: random.Random, T: float, R: float,
-            cmax_estimate: CmaxEstimate) -> int:
+def due_window(T: float, R: float, cmax_estimate: CmaxEstimate) -> Tuple[int, int]:
+    """The (lo, hi) range due dates are drawn from: the estimated makespan
+    scaled by 1 - T, widened by R / 2 on either side, clamped at 0."""
     mu = cmax_estimate.value * (1 - Fraction(str(T)))
     half = Fraction(str(R)) / 2
     lo = max(0, _round_half_up(mu * (1 - half)))
-    hi = max(lo, _round_half_up(mu * (1 + half)))
-    return rng.randint(lo, hi)
+    return lo, max(lo, _round_half_up(mu * (1 + half)))
+
+
+def gen_due(rng: random.Random, T: float, R: float,
+            cmax_estimate: CmaxEstimate) -> int:
+    return rng.randint(*due_window(T, R, cmax_estimate))
 
 
 def gen_weights(rng: random.Random, n: int) -> List[int]:
@@ -145,7 +150,8 @@ def generate_instance(config: GenConfig) -> Instance:
 
     p_list = [gen_processing(rng) for _ in range(config.n)]
     ready = gen_ready(rng, config.ready_scenario, est, config.n)
-    due = [gen_due(rng, config.T, config.R, est) for _ in range(config.n)]
+    lo, hi = due_window(config.T, config.R, est)  # one window, a draw per job
+    due = [rng.randint(lo, hi) for _ in range(config.n)]
     weights = gen_weights(rng, config.n)
 
     jobs = tuple(

@@ -180,6 +180,23 @@ def test_experiment_rejects_grid_that_is_not_an_object(tmp_path, capsys):
     assert err.startswith("error:") and "JSON object" in err
 
 
+@pytest.mark.parametrize("key,value", [("n", 5), ("T", 0.3), ("objectives", "cmax"),
+                                       ("n", []), ("equipment", []), ("objectives", [])])
+def test_experiment_rejects_grid_value_that_is_not_a_non_empty_list(tmp_path, capsys,
+                                                                      key, value):
+    grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+            "equipment": [2], "objectives": ["cmax"], key: value}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: grid key '{key}' must be a non-empty list\n"
+    assert not (out_dir / "records.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["flag", "grid"])
 @pytest.mark.parametrize("replications", [0, -2])
 def test_experiment_rejects_replications_below_one(tmp_path, capsys, where,

@@ -148,6 +148,27 @@ def test_golden_lp_export(n, mc):
     assert digests == GOLDEN_LP[(n, mc)]
 
 
+# The same digests for the instances of GOLDEN_LP drawn with every ready
+# time zero: (n, park) -> objective -> digest.
+GOLDEN_LP_ZERO_READY = {
+    (2, 1): {"cmax": "ea2d0b20999e48ce", "wct": "2b760c5ebca18e18", "twt": "3715b0ec7ea37820"},
+    (2, 2): {"cmax": "9b3dec40aac5df81", "wct": "084c630b5bbadcfe", "twt": "4ab899ddd8ad969c"},
+    (5, 1): {"cmax": "73feddd049fc77e5", "wct": "4e130903a66dd948", "twt": "e7586fdc55b00591"},
+    (5, 2): {"cmax": "57ed4f9b97165d75", "wct": "dd9e7fc2b86273db", "twt": "a72b391ec15b4ea7"},
+}
+
+
+@pytest.mark.parametrize("n,mc", sorted(GOLDEN_LP_ZERO_READY))
+def test_golden_lp_export_zero_ready(n, mc):
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.ALL_ZERO,
+                                       equipment=mc, seed=10 * n + mc))
+    assert not any(job.ready for job in inst.jobs)
+    digests = {kind.value: hashlib.sha256(
+                   write_lp(export_milp(inst, kind)).encode()).hexdigest()[:16]
+               for kind in Objective}
+    assert digests == GOLDEN_LP_ZERO_READY[(n, mc)]
+
+
 def _highs_inputs_digest(model) -> str:
     """First 16 hex digits of the SHA-256 of what HiGHS receives for the model:
     c, the constraint matrix in the CSC form `milp` hands over, row bounds,
@@ -223,32 +244,51 @@ def _violated_rows(model, values, tol=1e-6):
 
 
 def test_check_values_matches_row_by_row_reference():
-    inst = generate_instance(GenConfig(n=4, ready_scenario=ReadyScenario.MIXED_30_70,
-                                       equipment=1, seed=3))
-    rng = random.Random(7)
-    senses = set()
-    for kind in Objective:
-        model = export_milp(inst, kind)
-        sense_of = {row.name: row.sense for row in model.constraints}
-        sch, _ = decode(inst, sp_initial_order(inst), kind)
-        base = schedule_to_values(inst, sch, model)
-        assert check_values(model, base) == _violated_rows(model, base) == []
-        names = sorted(base)
-        for trial in range(12):
-            values = dict(base)
-            for name in rng.sample(names, 1 + trial):
-                if name in model.binary:
-                    values[name] = 1.0 - values[name]
-                else:
-                    values[name] += rng.choice((-60.0, -7.5, 0.5, 30.0))
-            expected = _violated_rows(model, values)
-            assert check_values(model, values) == expected
+    for n, mc in ((2, 1), (2, 2), (4, 1), (5, 1), (5, 2)):
+        inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
+                                           equipment=mc, seed=n - 1))
+        rng = random.Random(7)
+        senses = set()
+        for kind in Objective:
+            model = export_milp(inst, kind)
+            sense_of = {row.name: row.sense for row in model.constraints}
+            sch, _ = decode(inst, sp_initial_order(inst), kind)
+            base = schedule_to_values(inst, sch, model)
+            assert check_values(model, base) == _violated_rows(model, base) == []
+            names = sorted(base)
+            for trial in range(12):
+                values = dict(base)
+                for name in rng.sample(names, 1 + trial):
+                    if name in model.binary:
+                        values[name] = 1.0 - values[name]
+                    else:
+                        values[name] += rng.choice((-60.0, -7.5, 0.5, 30.0))
+                expected = _violated_rows(model, values)
+                assert check_values(model, values) == expected
+                senses.update(sense_of[name] for name in expected)
+            every_binary_set = {**base, **{name: 1.0 for name in model.binary}}
+            expected = _violated_rows(model, every_binary_set)
+            assert check_values(model, every_binary_set) == expected
             senses.update(sense_of[name] for name in expected)
-        every_binary_set = {**base, **{name: 1.0 for name in model.binary}}
-        expected = _violated_rows(model, every_binary_set)
-        assert check_values(model, every_binary_set) == expected
-        senses.update(sense_of[name] for name in expected)
-    assert senses == {"<=", ">=", "="}
+        assert senses == {"<=", ">=", "="}, (n, mc)
+
+
+@pytest.mark.parametrize("build", [export_milp, exact._disjunctive_model])
+@pytest.mark.parametrize("n,mc", [(1, 2), (3, 1), (4, 2)])
+def test_constraints_list_every_row_with_terms_sorted_by_name(build, n, mc):
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=mc, seed=n))
+    for kind in Objective:
+        model = build(inst, kind)
+        rows = model.constraints
+        assert len(rows) == model.counts[0] == len(model.row_names)
+        assert [row.name for row in rows] == model.row_names
+        assert len(set(model.row_names)) == len(rows)
+        names = set(model.continuous + model.binary)
+        for row in rows:
+            variables = [var for var, _ in row.coeffs]
+            assert variables == sorted(set(variables)) and set(variables) <= names
+            assert all(coeff != 0 for _, coeff in row.coeffs)
 
 
 def test_lp_output_shape():

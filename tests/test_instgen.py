@@ -1,10 +1,12 @@
 """Instance generator: equipment parks, draws, estimates, determinism."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from photosched.core import save_instance
 from photosched.instgen import (
     EQUIPMENT_COUNTS,
     CmaxEstimate,
@@ -95,6 +97,35 @@ def test_gen_due_window():
     # A wide range factor clamps the lower end at zero.
     wide = [gen_due(random.Random(s), 0.6, 2.5, est) for s in range(500)]
     assert min(wide) >= 0 and max(wide) <= 900
+
+
+# First 16 hex digits of the SHA-256 of `save_instance`'s file for
+# (n, ready, T, R, park, seed): every size, ready scenario, park and both
+# levels of T and R.
+GOLDEN_INSTANCES = {
+    (2, "zero", 0.3, 0.5, 1, 1): "bec2c7560670180b",
+    (2, "mixed", 0.6, 2.5, 2, 2): "d83582829e5e8a7a",
+    (5, "zero", 0.6, 0.5, 2, 3): "4c7c2cd5129c2bc0",
+    (5, "mixed", 0.3, 2.5, 1, 4): "5e3de90334a066ef",
+    (5, "mixed", 0.6, 0.5, 1, 5): "6cc26b9a5ea4fd60",
+    (15, "zero", 0.3, 2.5, 2, 6): "114b27d66b6d1a4e",
+    (15, "mixed", 0.6, 2.5, 1, 7): "bb4e3b7ea347f86c",
+    (15, "mixed", 0.3, 0.5, 2, 8): "52c0ba81a4b9071e",
+    (25, "zero", 0.6, 2.5, 1, 9): "ef3bec637fc96e95",
+    (25, "mixed", 0.3, 0.5, 2, 10): "236778e778ba3d72",
+    (25, "mixed", 0.6, 2.5, 2, 11): "f9eac36e9781dda6",
+    (25, "zero", 0.3, 0.5, 1, 12): "96c3123467e438ad",
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_INSTANCES))
+def test_golden_instance_files(tmp_path, config):
+    n, ready, T, R, park, seed = config
+    path = tmp_path / "instance.json"
+    save_instance(generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario(ready),
+                                              T=T, R=R, equipment=park, seed=seed)),
+                  str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_INSTANCES[config]
 
 
 def test_gen_weights_range():
