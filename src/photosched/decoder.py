@@ -118,14 +118,10 @@ class Decoder:
         machine_ids = self._machine_ids
         assign: Dict[Visit, str] = {}
         completion: Dict[Visit, int] = {}
-        sequences: List[List[Visit]] = [[] for _ in machine_ids]
         for job_id, stage, mk, c in visits:
             assign[(job_id, stage)] = machine_ids[mk]
             completion[(job_id, stage)] = c
-            sequences[mk].append((job_id, stage))
-        return Schedule(assign=assign, completion=completion,
-                        sequences={machine_ids[mk]: seq
-                                   for mk, seq in enumerate(sequences) if seq})
+        return Schedule(assign=assign, completion=completion)
 
     def _place(self, order: Sequence[str], visits: Optional[list]):
         """Place the jobs greedily in list order.

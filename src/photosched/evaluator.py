@@ -9,7 +9,7 @@ the cluster routing rules.
 
 import csv
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .core import CLUSTER_ENTRY, STAGES, Instance, Job, Objective, route_options
@@ -34,7 +34,15 @@ class Violation:
 class Schedule:
     assign: Dict[Visit, str]  # (job, stage) -> machine id, stages with p > 0
     completion: Dict[Visit, int]  # (job, stage) -> completion time
-    sequences: Dict[str, List[Visit]] = field(default_factory=dict)
+
+    @property
+    def sequences(self) -> Dict[str, List[Visit]]:
+        """Each machine's visits ordered by completion, ties by stage then
+        job id; on a feasible schedule this is the start order."""
+        out: Dict[str, List[Visit]] = defaultdict(list)
+        for v in sorted(self.assign, key=lambda v: (self.completion[v], v[1], v[0])):
+            out[self.assign[v]].append(v)
+        return dict(out)
 
     def start(self, instance: Instance, job_id: str, stage: int) -> int:
         return self.completion[(job_id, stage)] - instance.job(job_id).duration(stage)
@@ -64,43 +72,38 @@ class ScheduleMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Occupations: contiguous machine reservations
+# Reservations: contiguous machine holds
 
-@dataclass
-class Occupation:
-    job_id: str
-    machine_id: str
-    stages: List[int]  # covered stages of this reservation, in flow order
-
-    @property
-    def entry(self) -> int:
-        return self.stages[0]
-
-    @property
-    def exit(self) -> int:
-        return self.stages[-1]
-
-
-def _occupations(instance: Instance, assign: Dict[Visit, str]) -> Dict[str, List[Occupation]]:
-    """Group assigned visits into machine reservations.
+def _reservations(instance: Instance,
+                  assign: Dict[Visit, str]) -> Dict[str, List[Tuple[str, List[int]]]]:
+    """Group assigned visits into (job id, stages) machine reservations,
+    per machine in (job id, stage) order.
 
     On a cluster machine all of a job's visits form one reservation; on
     individual machines and bake ovens every visit stands alone.
     """
-    by_machine: Dict[str, List[Occupation]] = defaultdict(list)
-    per_pair: Dict[Tuple[str, str], Occupation] = {}
-    for (job_id, stage), mid in sorted(assign.items(), key=lambda it: (it[0][0], it[0][1])):
-        machine = instance.machine(mid)
-        if machine.is_cluster:
-            occ = per_pair.get((job_id, mid))
-            if occ is None:
-                occ = Occupation(job_id, mid, [])
-                per_pair[(job_id, mid)] = occ
-                by_machine[mid].append(occ)
-            occ.stages.append(stage)
+    by_machine: Dict[str, List[Tuple[str, List[int]]]] = defaultdict(list)
+    for (job_id, stage), mid in sorted(assign.items()):
+        held = by_machine[mid]
+        if held and held[-1][0] == job_id and instance.machine(mid).is_cluster:
+            held[-1][1].append(stage)
         else:
-            by_machine[mid].append(Occupation(job_id, mid, [stage]))
+            held.append((job_id, [stage]))
     return by_machine
+
+
+def timelines(instance: Instance,
+              schedule: Schedule) -> Dict[str, List[Tuple[int, int, str, List[int]]]]:
+    """Each machine's reservations as (start, end, job id, stages), in
+    (job id, stage) order.
+
+    A reservation holds its machine from its first stage's start to its
+    last stage's completion.
+    """
+    return {mid: [(schedule.start(instance, job_id, stages[0]),
+                   schedule.completion[(job_id, stages[-1])], job_id, stages)
+                  for job_id, stages in held]
+            for mid, held in _reservations(instance, schedule.assign).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +133,10 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
             prev = v
 
     # Machine-order edges between consecutive reservations.
-    occ_by_machine = _occupations(instance, assign)
-    for mid, occs in occ_by_machine.items():
-        order = _reservation_order(occs, sequences.get(mid, []))
-        for a, b in zip(order, order[1:]):
-            preds[(b.job_id, b.entry)].append((a.job_id, a.exit))
+    for mid, held in _reservations(instance, assign).items():
+        order = _reservation_order(held, sequences.get(mid, []))
+        for (a, a_stages), (b, b_stages) in zip(order, order[1:]):
+            preds[(b, b_stages[0])].append((a, a_stages[-1]))
 
     indeg = {v: len(ps) for v, ps in preds.items()}
     succs: Dict[Visit, List[Visit]] = defaultdict(list)
@@ -159,31 +161,23 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
                 queue.append(w)
     if done != len(visits):
         raise CyclicSequenceError([v for v in visits if v not in completion])
-
-    ordered = {
-        mid: sorted(
-            (v for v in visits if assign[v] == mid),
-            key=lambda v: (completion[v] - instance.job(v[0]).duration(v[1]), v[1]),
-        )
-        for mid in occ_by_machine
-    }
-    return Schedule(assign=dict(assign), completion=completion, sequences=ordered)
+    return Schedule(assign=dict(assign), completion=completion)
 
 
-def _reservation_order(occs: List[Occupation], sequence: List[Visit]) -> List[Occupation]:
-    """Order reservations by the machine's visit sequence.
+def _reservation_order(held: List[Tuple[str, List[int]]],
+                       sequence: List[Visit]) -> List[Tuple[str, List[int]]]:
+    """Order a machine's reservations by its visit sequence.
 
     Falls back to first-appearance order for visits missing from the
     sequence list.
     """
     pos = {v: i for i, v in enumerate(sequence)}
     ranked = []
-    for i, occ in enumerate(occs):
-        keys = [pos.get((occ.job_id, s)) for s in occ.stages]
-        known = [k for k in keys if k is not None]
-        ranked.append((min(known) if known else len(sequence) + i, occ))
-    ranked.sort(key=lambda t: t[0])
-    return [occ for _, occ in ranked]
+    for i, (job_id, stages) in enumerate(held):
+        known = [pos[(job_id, s)] for s in stages if (job_id, s) in pos]
+        ranked.append((min(known) if known else len(sequence) + i, i))
+    ranked.sort()
+    return [held[i] for _, i in ranked]
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +257,23 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
         return out
 
     # Machine exclusivity: reservations on one timeline must not overlap.
-    for mid, occs in _occupations(instance, assign).items():
+    for mid, spans in timelines(instance, schedule).items():
         machine = instance.machine(mid)
-        intervals = []
-        for occ in occs:
-            s0 = schedule.start(instance, occ.job_id, occ.entry)
-            c1 = schedule.completion[(occ.job_id, occ.exit)]
-            intervals.append((s0, c1, occ))
-        intervals.sort(key=lambda t: (t[0], t[1]))
-        for (s0, c1, a), (s2, c3, b) in zip(intervals, intervals[1:]):
-            if s2 < c1 and a.job_id != b.job_id:
+        spans.sort(key=lambda t: (t[0], t[1]))
+        for (_, c1, a, a_stages), (s2, _, b, b_stages) in zip(spans, spans[1:]):
+            if s2 < c1 and a != b:
                 if machine.is_cluster:
                     tag = "ClusterExclusive"
-                elif machine.tool_class == "B" and a.stages[0] != b.stages[0]:
+                elif machine.tool_class == "B" and a_stages[0] != b_stages[0]:
                     tag = "BakeShared"
                 else:
                     tag = "MachineOverlap"
                 out.append(Violation(tag,
-                                     f"jobs {a.job_id} (stage {a.stages}) and {b.job_id} "
-                                     f"(stage {b.stages}) overlap on {mid}"))
+                                     f"jobs {a} (stage {a_stages}) and {b} "
+                                     f"(stage {b_stages}) overlap on {mid}"))
             elif s2 < c1:
                 out.append(Violation("MachineOverlap",
-                                     f"job {a.job_id} overlaps itself on {mid}"))
+                                     f"job {a} overlaps itself on {mid}"))
     return out
 
 
@@ -351,19 +340,13 @@ def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
 def load_schedule(path) -> Schedule:
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, int] = {}
-    rows = []
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
             job_id = rec["job_id"]
             stage = int(rec["stage"])
             mid = rec["machine_id"]
-            start = int(rec["start"])
+            int(rec["start"])  # follows from completion; parsed so a malformed file raises
             c = int(rec["completion"])
             assign[(job_id, stage)] = mid
             completion[(job_id, stage)] = c
-            rows.append((mid, start, stage, job_id))
-    rows.sort()
-    sequences: Dict[str, List[Visit]] = defaultdict(list)
-    for mid, start, stage, job_id in rows:
-        sequences[mid].append((job_id, stage))
-    return Schedule(assign=assign, completion=completion, sequences=dict(sequences))
+    return Schedule(assign=assign, completion=completion)

@@ -44,10 +44,10 @@ from .decoder import decoder_for
 from .evaluator import (
     Schedule,
     Visit,
-    _occupations,
+    completion_objective,
     earliest_completion,
-    metrics,
     objective_value,
+    timelines,
 )
 from .search import sp_initial_order
 
@@ -439,15 +439,20 @@ def schedule_to_values(instance: Instance, schedule: Schedule,
     values = {v: 0.0 for v in model.continuous}
     values.update({v: 0.0 for v in model.binary})
 
+    # A skipped stage carries the previous completion (the ready time
+    # before stage 1) forward.
+    ends = []
     for job in instance.jobs:
+        c = job.ready
         for s in STAGES:
-            values[_cvar(s, job.id)] = float(
-                schedule.completion_through(instance, job.id, s))
-    m = metrics(instance, schedule)
-    values["CMAX"] = float(m.cmax)
+            if job.needs(s):
+                c = schedule.completion[(job.id, s)]
+            values[_cvar(s, job.id)] = float(c)
+        ends.append((job, c))
+    values["CMAX"] = float(completion_objective(ends, Objective.CMAX))
     if model.kind == Objective.TWT:
-        for job_id, t in m.tardiness.items():
-            values[f"T_{job_id}"] = float(t)
+        for job, c in ends:
+            values[f"T_{job.id}"] = float(max(0, c - job.due))
 
     for (job_id, s), mid in schedule.assign.items():
         name = _xvar(s, mid, job_id)
@@ -469,15 +474,9 @@ def _pair_orders(instance: Instance, schedule: Schedule) -> Dict[Tuple[str, str]
     in both directions.
     """
     orders: Dict[Tuple[str, str], bool] = {}
-    for mid, occs in _occupations(instance, schedule.assign).items():
-        spans = [
-            (schedule.start(instance, o.job_id, o.entry),
-             schedule.completion[(o.job_id, o.exit)],
-             o.job_id)
-            for o in occs
-        ]
-        for i, (s0, c0, k) in enumerate(spans):
-            for s1, c1, l in spans[i + 1:]:
+    for spans in timelines(instance, schedule).values():
+        for i, (s0, _, k, _) in enumerate(spans):
+            for s1, _, l, _ in spans[i + 1:]:
                 if k == l:
                     continue
                 a, b = (k, l) if k < l else (l, k)
@@ -630,7 +629,7 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
 def _schedule_from_values(instance: Instance,
                           values: Dict[str, float]) -> Schedule:
     assign: Dict[Visit, str] = {}
-    starts: Dict[Visit, float] = {}
+    completion: Dict[Visit, float] = {}
     for name, val in values.items():
         if not name.startswith("x_") or val < 0.5:
             continue
@@ -642,14 +641,10 @@ def _schedule_from_values(instance: Instance,
                   if machine.is_cluster else [stage])
         for cov in stages:
             assign[(job_id, cov)] = mid
-            starts[(job_id, cov)] = (values[_cvar(cov, job_id)]
-                                     - job.duration(cov))
-    sequences: Dict[str, List[Visit]] = {}
-    for (job_id, stage), mid in assign.items():
-        sequences.setdefault(mid, []).append((job_id, stage))
-    for mid in sequences:
-        sequences[mid].sort(key=lambda v: (starts[v], v[1]))
-    return earliest_completion(instance, assign, sequences)
+            completion[(job_id, cov)] = values[_cvar(cov, job_id)]
+    # The solution's machine orders, re-timed in integer minutes.
+    return earliest_completion(instance, assign,
+                               Schedule(assign, completion).sequences)
 
 
 def solve_exact(instance: Instance, kind: Objective,

@@ -7,6 +7,7 @@ time-limited exact run.
 
 import csv
 import itertools
+import numbers
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -76,8 +77,8 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
 
     Solver failures are recorded with status "failed" and the run continues.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not (isinstance(replications, numbers.Integral) and replications >= 1):
+        raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
     records: List[ExperimentRecord] = []
     cells = list(itertools.product(grid["n"], grid["ready"], grid["T"],
                                    grid["R"], grid["equipment"]))

@@ -3,7 +3,7 @@
 from typing import List
 
 from .core import Instance, Objective
-from .evaluator import Schedule, _occupations, objective_value
+from .evaluator import Schedule, objective_value, timelines
 
 LANE_HEIGHT = 28
 BAR_HEIGHT = 20
@@ -26,7 +26,7 @@ def render_gantt(instance: Instance, schedule: Schedule) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="10">'
     ]
-    occs = _occupations(instance, schedule.assign)
+    spans = timelines(instance, schedule)
     for lane, machine in enumerate(machines):
         y = 10 + lane * LANE_HEIGHT
         parts.append(
@@ -34,18 +34,15 @@ def render_gantt(instance: Instance, schedule: Schedule) -> str:
         parts.append(
             f'<line x1="{LABEL_WIDTH}" y1="{y + BAR_HEIGHT + 2}" '
             f'x2="{width - 10}" y2="{y + BAR_HEIGHT + 2}" stroke="#ddd"/>')
-        for occ in occs.get(machine.id, []):
-            s0 = schedule.start(instance, occ.job_id, occ.entry)
-            c1 = schedule.completion[(occ.job_id, occ.exit)]
+        for s0, c1, job_id, stages in spans.get(machine.id, []):
             x = LABEL_WIDTH + s0 * PX_PER_MINUTE
             w = max(1.0, (c1 - s0) * PX_PER_MINUTE)
-            stages = "+".join(str(s) for s in occ.stages)
             parts.append(
                 f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{BAR_HEIGHT}" '
-                f'fill="{color[occ.job_id]}" stroke="#333"/>')
+                f'fill="{color[job_id]}" stroke="#333"/>')
             parts.append(
                 f'<text x="{x + 2:.1f}" y="{y + BAR_HEIGHT - 6}" fill="#fff">'
-                f'{occ.job_id}:{stages}</text>')
+                f'{job_id}:{"+".join(map(str, stages))}</text>')
     # Time axis ticks along the bottom.
     axis_y = 10 + len(machines) * LANE_HEIGHT
     t = 0

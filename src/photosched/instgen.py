@@ -53,8 +53,8 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.equipment not in EQUIPMENT_COUNTS:
             raise ValueError("equipment scenario must be 1 or 2")
         # T above 1 makes every due date 0, a negative R makes them all
@@ -131,11 +131,6 @@ def due_window(T: float, R: float, cmax_estimate: CmaxEstimate) -> Tuple[int, in
     half = Fraction(str(R)) / 2
     lo = max(0, _round_half_up(mu * (1 - half)))
     return lo, max(lo, _round_half_up(mu * (1 + half)))
-
-
-def gen_due(rng: random.Random, T: float, R: float,
-            cmax_estimate: CmaxEstimate) -> int:
-    return rng.randint(*due_window(T, R, cmax_estimate))
 
 
 def gen_weights(rng: random.Random, n: int) -> List[int]:

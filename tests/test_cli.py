@@ -219,6 +219,24 @@ def test_experiment_rejects_replications_below_one(tmp_path, capsys, where,
     assert not (out_dir / "records.csv").exists()
 
 
+# A string or fractional count used to end in a TypeError traceback.
+@pytest.mark.parametrize("key,value", [("n", ["2"]), ("n", [2.5]),
+                                       ("replications", "2"), ("replications", 1.5)])
+def test_experiment_rejects_grid_counts_that_are_not_integers(tmp_path, capsys,
+                                                               key, value):
+    grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+            "equipment": [2], "objectives": ["cmax"], key: value}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key} must be an integer >= 1, got ")
+    assert not (out_dir / "records.csv").exists()
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "evaluate", "no-such.csv", "also-missing.json")
     assert code == 1

@@ -1,5 +1,8 @@
 """Domain model: stages, tool classes, routes, instance files."""
 
+import ast
+import pathlib
+
 import pytest
 
 import photosched
@@ -209,3 +212,16 @@ def test_instance_file_version_checked():
 def test_package_exports_resolve():
     missing = [name for name in photosched.__all__ if not hasattr(photosched, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # Shared rules go through public names, so each module's private
+    # helpers stay free to change.
+    found = []
+    for path in sorted(pathlib.Path(photosched.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                          f"import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

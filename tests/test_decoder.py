@@ -18,7 +18,15 @@ from photosched.decoder import (
     decode,
     decoder_for,
 )
-from photosched.evaluator import Schedule, check_feasibility, metrics, objective_value
+from photosched.evaluator import (
+    Schedule,
+    check_feasibility,
+    earliest_completion,
+    load_schedule,
+    metrics,
+    objective_value,
+    save_schedule,
+)
 from photosched.exact import solve_exact
 from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 from photosched.search import GAConfig, SPConfig, run_ga, run_sp, sp_initial_order
@@ -110,6 +118,23 @@ def test_decode_always_feasible_randomized():
         assert value >= max(j.ready + j.total_time for j in inst.jobs)
 
 
+def test_decoded_sequences_survive_retiming_and_file_round_trip(tmp_path):
+    rng = random.Random(17)
+    path = tmp_path / "schedule.csv"
+    for _ in range(40):
+        inst = generate_instance(
+            GenConfig(n=rng.choice([2, 5, 9]),
+                      ready_scenario=rng.choice(list(ReadyScenario)),
+                      equipment=rng.choice([1, 2]), seed=rng.randrange(10**6)))
+        ids = [j.id for j in inst.jobs]
+        rng.shuffle(ids)
+        sch, _ = decode(inst, JobOrder(tuple(ids)), Objective.CMAX)
+        retimed = earliest_completion(inst, sch.assign, sch.sequences)
+        assert retimed.sequences == sch.sequences
+        save_schedule(inst, sch, path)
+        assert load_schedule(path).sequences == sch.sequences
+
+
 def test_decode_deterministic():
     inst = generate_instance(GenConfig(n=7, equipment=1, seed=3))
     order = JobOrder(tuple(j.id for j in inst.jobs))
@@ -121,7 +146,10 @@ def test_decode_deterministic():
 
 
 def reference_schedule(instance, order):
-    """The greedy rule written directly: every stage rescans the machines."""
+    """The greedy rule written directly: every stage rescans the machines.
+
+    Returns the schedule and each machine's visits in placement order.
+    """
     free = {m.id: 0 for m in instance.machines}
     assign, completion = {}, {}
     sequences = {m.id: [] for m in instance.machines}
@@ -145,8 +173,8 @@ def reference_schedule(instance, order):
             completion[(job_id, stage)] = free[mid] = prev_c = start + job.duration(stage)
             assign[(job_id, stage)] = mid
             sequences[mid].append((job_id, stage))
-    return Schedule(assign=assign, completion=completion,
-                    sequences={m: v for m, v in sequences.items() if v})
+    return (Schedule(assign=assign, completion=completion),
+            {m: v for m, v in sequences.items() if v})
 
 
 @st.composite
@@ -166,7 +194,9 @@ def test_decoder_score_matches_built_schedule(case):
     inst, order = case
     decoder = Decoder(inst)
     sch = decoder.schedule(order)
-    assert sch == reference_schedule(inst, order)
+    reference, placed = reference_schedule(inst, order)
+    assert sch == reference
+    assert sch.sequences == placed
     assert sch == decode(inst, JobOrder(order), Objective.CMAX)[0]
     assert check_feasibility(inst, sch) == []
     m = metrics(inst, sch)

@@ -12,6 +12,7 @@ from photosched.evaluator import (
     metrics,
     objective_value,
     save_schedule,
+    timelines,
 )
 from photosched.instgen import equipment
 
@@ -69,6 +70,19 @@ def test_two_jobs_share_a_machine_in_sequence():
     assert sch.last_completion(inst, "J2") == 200
 
 
+def test_unsequenced_reservations_follow_in_job_order():
+    jobs = (Job("J1", (0, 20, 75, 0, 30, 0)), Job("J2", (0, 20, 75, 0, 30, 0)))
+    inst = Instance(jobs=jobs, machines=tuple(equipment(2)))
+    assign = {(j, s): m for j in ("J1", "J2")
+              for s, m in ((2, "C1"), (3, "E1"), (5, "D1"))}
+    # J2 coats first; E1 and D1 have no sequence, so J1 goes first there.
+    sch = earliest_completion(inst, assign, {"C1": [("J2", 2)]})
+    assert check_feasibility(inst, sch) == []
+    assert sch.completion == {("J2", 2): 20, ("J1", 2): 40,
+                              ("J1", 3): 115, ("J2", 3): 190,
+                              ("J1", 5): 145, ("J2", 5): 220}
+
+
 def test_cluster_reservation_holds_machine_for_whole_span():
     jobs = (Job("J1", (0, 20, 75, 0, 30, 0)), Job("J2", (0, 20, 75, 0, 30, 0)))
     inst = Instance(jobs=jobs, machines=tuple(equipment(2)))
@@ -94,6 +108,27 @@ def test_bake_stages_share_one_oven_timeline():
     assert check_feasibility(inst, sch) == []
     # J2's post-develop bake waits for J1's pre-develop bake on the oven.
     assert sch.start(inst, "J2", 6) == max(125, 95 + 45)
+
+
+def test_timelines_give_one_span_per_reservation():
+    jobs = (Job("J1", (0, 20, 75, 45, 30, 0)), Job("J2", (0, 20, 75, 0, 30, 45)))
+    inst = Instance(jobs=jobs, machines=tuple(equipment(2)))
+    assign = {("J1", 2): "C1", ("J1", 3): "E1", ("J1", 4): "B1", ("J1", 5): "D1",
+              ("J2", 2): "CED1", ("J2", 3): "CED1", ("J2", 5): "CED1",
+              ("J2", 6): "B1"}
+    completion = {("J1", 2): 20, ("J1", 3): 95, ("J1", 4): 140, ("J1", 5): 170,
+                  ("J2", 2): 20, ("J2", 3): 95, ("J2", 5): 125, ("J2", 6): 185}
+    sch = Schedule(assign=assign, completion=completion)
+    assert check_feasibility(inst, sch) == []
+    spans = timelines(inst, sch)
+    # The cluster is held from J2's coat start to its develop completion.
+    assert spans["CED1"] == [(0, 125, "J2", [2, 3, 5])]
+    # The oven's one timeline carries J1's stage-4 and J2's stage-6 visits.
+    assert spans["B1"] == [(95, 140, "J1", [4]), (140, 185, "J2", [6])]
+    assert spans["C1"] == [(0, 20, "J1", [2])]
+    assert set(spans) == {"C1", "E1", "D1", "CED1", "B1"}
+    assert sch.sequences["CED1"] == [("J2", 2), ("J2", 3), ("J2", 5)]
+    assert sch.sequences["B1"] == [("J1", 4), ("J2", 6)]
 
 
 def test_cyclic_sequences_detected():
@@ -233,3 +268,11 @@ def test_schedule_file_round_trip(tmp_path):
     assert again.assign == sch.assign
     assert again.completion == sch.completion
     assert check_feasibility(inst, again) == []
+
+
+def test_load_schedule_rejects_a_malformed_start(tmp_path):
+    # The start column follows from completion but is still parsed.
+    path = tmp_path / "sched.csv"
+    path.write_text("job_id,stage,machine_id,start,completion\nJ1,2,C1,x,20\n")
+    with pytest.raises(ValueError):
+        load_schedule(path)

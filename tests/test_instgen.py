@@ -13,9 +13,9 @@ from photosched.instgen import (
     GenConfig,
     ReadyScenario,
     _round_half_up,
+    due_window,
     equipment,
     estimate_cmax,
-    gen_due,
     gen_processing,
     gen_ready,
     gen_weights,
@@ -91,12 +91,9 @@ def test_gen_ready_zero_count_rounds_half_up():
 def test_gen_due_window():
     est = CmaxEstimate(value=Fraction(1000), p_bn=75, m_ibn=6, p_nbn=180)
     # T = 0.3 -> mean 700; R = 0.5 -> window [525, 875].
-    draws = [gen_due(random.Random(s), 0.3, 0.5, est) for s in range(500)]
-    assert min(draws) >= 525 and max(draws) <= 875
-    assert min(draws) < 600 and max(draws) > 800  # spread fills the window
+    assert due_window(0.3, 0.5, est) == (525, 875)
     # A wide range factor clamps the lower end at zero.
-    wide = [gen_due(random.Random(s), 0.6, 2.5, est) for s in range(500)]
-    assert min(wide) >= 0 and max(wide) <= 900
+    assert due_window(0.6, 2.5, est) == (0, 900)
 
 
 # First 16 hex digits of the SHA-256 of `save_instance`'s file for
@@ -158,6 +155,9 @@ def test_config_validation():
         GenConfig(n=0, seed=1)
     with pytest.raises(ValueError):
         GenConfig(n=3, equipment=3, seed=1)
+    for n in (2.5, "2"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            GenConfig(n=n, seed=1)
 
 
 @pytest.mark.parametrize("T", [-0.1, 1.5, float("nan"), float("inf"), "0.3"])
