@@ -107,7 +107,7 @@ class Job:
     def needs(self, stage: int) -> bool:
         return self.p[stage - 1] > 0
 
-    @property
+    @cached_property  # the routing tables and every layer read it per job
     def stages(self) -> Tuple[int, ...]:
         """Stages with positive processing time, in flow order."""
         return tuple(s for s in STAGES if self.p[s - 1] > 0)
@@ -141,6 +141,22 @@ class Instance:
         for job in self.jobs:
             if not park_routes(self, job):
                 raise ValueError(f"job {job.id}: no route through the machine park")
+
+    # Every per-instance cache hashes the instance, so the hash of its jobs
+    # and machines is computed once; it equals the generated dataclass hash.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.jobs, self.machines, self.label))
+
+    def __getstate__(self):  # string hashes, and so `_hash`, differ per process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    @cached_property
+    def _park_classes(self) -> FrozenSet[str]:
+        return frozenset([m.tool_class for m in self.machines])
 
     def job(self, job_id: str) -> Job:
         return self._job_index[job_id]
@@ -224,8 +240,7 @@ def park_routes(instance: Instance, job: Job) -> List[RouteChoice]:
     """The job's routes the instance's park can realize: it has a machine
     of every tool class on the route."""
     _require_core_stages(job)
-    classes = frozenset([m.tool_class for m in instance.machines])
-    return list(_park_routes(job.stages, classes))
+    return list(_park_routes(job.stages, instance._park_classes))
 
 
 def big_m(instance: Instance) -> int:

@@ -669,6 +669,8 @@ def solve_exact(instance: Instance, kind: Objective,
     schedule whose pairwise job orders disagree across machines, the
     literal model (`export_milp`) is solved for an order-consistent
     schedule of equal value; if it finds none, the first schedule stands.
+    When HiGHS fails on the first model, the literal model is solved in
+    its place with the time left, and only its failure raises SolverError.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
@@ -679,17 +681,23 @@ def solve_exact(instance: Instance, kind: Objective,
     if value == decoder.lower_bound(kind):
         return ExactResult(schedule=decoder.schedule(order), value=value,
                            status=OPTIMAL)
+
+    def left():
+        return (None if time_limit is None
+                else max(0.0, time_limit - (time.perf_counter() - started)))
+
     # The first model is freed before a re-solve builds the larger literal one.
-    status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
+    try:
+        status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
+    except SolverError:  # HiGHS can fail on the relaxation alone
+        status, values = _solve_model(export_milp(instance, kind), left())
     if status == 0:
         schedule = _schedule_from_values(instance, values)
         value = objective_value(instance, schedule, kind)
         try:
             _pair_orders(instance, schedule)
         except ValueError:
-            left = (None if time_limit is None
-                    else max(0.0, time_limit - (time.perf_counter() - started)))
-            consistent = _solve_consistent(instance, kind, left, value)
+            consistent = _solve_consistent(instance, kind, left(), value)
             if consistent is not None:
                 schedule = consistent
         return ExactResult(schedule=schedule, value=value, status=OPTIMAL)

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from .core import Instance, Job, Machine, TOOL_STAGES
@@ -137,16 +138,33 @@ def gen_weights(rng: random.Random, n: int) -> List[int]:
     return [rng.randint(1, 5) for _ in range(n)]
 
 
+# Instances of one scenario share one machine tuple, so the tables built
+# per park (the decoder's) are found by identity before equality.
+@lru_cache(maxsize=len(EQUIPMENT_COUNTS))
+def _machine_park(scenario: int) -> Tuple[Machine, ...]:
+    return tuple(equipment(scenario))
+
+
+# The makespan estimate and due window depend only on these, and their
+# Fraction arithmetic costs more than the rest of a small instance; T and R
+# are keyed by the text `due_window` parses.
+@lru_cache(maxsize=256)
+def _estimate_and_window(n: int, scenario: int, T: str,
+                         R: str) -> Tuple[CmaxEstimate, Tuple[int, int]]:
+    est = estimate_cmax(n, equipment(scenario))
+    return est, due_window(Fraction(T), Fraction(R), est)
+
+
 def generate_instance(config: GenConfig) -> Instance:
     """Deterministically build one instance from its design-cell config."""
     rng = random.Random(config.seed)
-    machines = equipment(config.equipment)
-    est = estimate_cmax(config.n, machines)
+    machines = _machine_park(config.equipment)
+    est, (lo, hi) = _estimate_and_window(config.n, config.equipment,
+                                         str(config.T), str(config.R))
 
     p_list = [gen_processing(rng) for _ in range(config.n)]
     ready = gen_ready(rng, config.ready_scenario, est, config.n)
-    lo, hi = due_window(config.T, config.R, est)  # one window, a draw per job
-    due = [rng.randint(lo, hi) for _ in range(config.n)]
+    due = [rng.randint(lo, hi) for _ in range(config.n)]  # one window, a draw per job
     weights = gen_weights(rng, config.n)
 
     jobs = tuple(
@@ -156,4 +174,4 @@ def generate_instance(config: GenConfig) -> Instance:
     )
     label = (f"n{config.n}-r_{config.ready_scenario.value}-T{config.T}"
              f"-R{config.R}-mc{config.equipment}-seed{config.seed}")
-    return Instance(jobs=jobs, machines=tuple(machines), label=label)
+    return Instance(jobs=jobs, machines=machines, label=label)

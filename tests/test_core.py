@@ -1,7 +1,11 @@
 """Domain model: stages, tool classes, routes, instance files."""
 
 import ast
+import os
 import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -198,6 +202,23 @@ def test_instance_round_trip(tmp_path):
     save_instance(inst, path)
     again = load_instance(path)
     assert again == inst
+
+
+def test_a_pickled_instance_hashes_like_an_equal_one_in_another_process():
+    # The instance caches its hash, which string hashing makes per-process.
+    inst = Instance(jobs=(make_job((40, 20, 75, 0, 30, 45)),),
+                    machines=tuple(equipment(2)), label="pk")
+    hash(inst)
+    code = ("import pickle, sys\n"
+            "from photosched.core import instance_from_dict, instance_to_dict\n"
+            "a = pickle.loads(sys.stdin.buffer.read())\n"
+            "b = instance_from_dict(instance_to_dict(a))\n"
+            "print(a == b, hash(a) == hash(b), len({a, b}))\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=str(pathlib.Path(photosched.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(inst),
+                         capture_output=True, env=env, check=True, timeout=60)
+    assert out.stdout.split() == [b"True", b"True", b"1"]
 
 
 def test_instance_file_version_checked():

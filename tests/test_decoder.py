@@ -1,14 +1,27 @@
 """Greedy permutation decoding."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from photosched import core, exact, search
 from photosched import decoder as decoder_module
-from photosched import exact, search
-from photosched.core import Instance, Job, Objective, instance_from_dict, instance_to_dict
+from photosched.core import (
+    TOOL_STAGES,
+    Instance,
+    Job,
+    Machine,
+    Objective,
+    instance_from_dict,
+    instance_to_dict,
+    load_instance,
+    park_routes,
+    route_options,
+    save_instance,
+)
 from photosched.decoder import (
     DecodeError,
     Decoder,
@@ -284,3 +297,121 @@ def test_stage_times_given_as_a_list_are_kept_as_a_hashable_tuple():
     assert inst.jobs[0].p == (0, 20, 75, 0, 30, 0)
     _, value, _ = run_sp(inst, Objective.CMAX, SPConfig(max_iterations=5))
     assert value == 125
+
+
+# Hand-built parks for the shared routing tables: machines in any order, a
+# class missing or doubled.  Stage times follow the design (coat, expose
+# and develop always; sink and the two bakes optional).
+PARK_CLASSES = tuple(TOOL_STAGES)
+STAGE_OPTIONAL = (40, 0, 0, 45, 0, 45)
+STAGE_FIXED = (0, 20, 75, 0, 30, 0)
+
+
+@st.composite
+def shared_park_instances(draw):
+    counts = {cls: draw(st.integers(1, 2)) for cls in PARK_CLASSES}
+    counts[draw(st.sampled_from(PARK_CLASSES))] = 0
+    machines = draw(st.permutations([Machine(f"{cls}{i}", cls)
+                                     for cls, k in counts.items()
+                                     for i in range(1, k + 1)]))
+    present = {m.tool_class for m in machines}
+
+    def jobs(prefix):
+        out = []
+        for k in range(draw(st.integers(1, 4))):
+            p = tuple(fixed + (draw(st.sampled_from((0, opt))) if opt else 0)
+                      for fixed, opt in zip(STAGE_FIXED, STAGE_OPTIONAL))
+            job = Job(f"{prefix}{k}", p, ready=draw(st.integers(0, 60)),
+                      due=draw(st.integers(0, 400)), weight=draw(st.integers(1, 5)))
+            if any(all(cls in present for _, cls in r.stage_class)
+                   for r in route_options(job)):
+                out.append(job)
+        assume(out)
+        return tuple(out)
+
+    # The second instance gets an equal copy of the park, not the same tuple.
+    return (Instance(jobs=jobs("A"), machines=tuple(machines)),
+            Instance(jobs=jobs("B"), machines=tuple(Machine(m.id, m.tool_class)
+                                                    for m in machines)))
+
+
+def _decoder_results(decoder, instance):
+    ids = [j.id for j in instance.jobs]
+    orders = [tuple(ids), tuple(reversed(ids))]
+    return [(decoder.schedule(order), [decoder.score(order, kind) for kind in Objective])
+            for order in orders] + [[decoder.lower_bound(kind) for kind in Objective]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_park_instances())
+def test_instances_on_one_park_share_tables_that_change_no_result(pair):
+    decoder_module._park.cache_clear()
+    shared = [Decoder(inst) for inst in pair]
+    assert decoder_module._park.cache_info().currsize == 1  # one table for both
+    for inst, decoder in zip(pair, shared):
+        decoder_module._park.cache_clear()
+        assert _decoder_results(decoder, inst) == _decoder_results(Decoder(inst), inst)
+        order = [j.id for j in inst.jobs]
+        assert decoder.schedule(order) == reference_schedule(inst, order)[0]
+        for job in inst.jobs:
+            families = {r.family for r in park_routes(inst, job)}
+            assert cluster_affinity(inst, job) == sum(
+                1 for m in inst.machines if m.is_cluster and m.tool_class in families)
+
+
+def test_an_equal_instance_from_file_gets_the_same_decoder(tmp_path):
+    inst = generate_instance(GenConfig(n=5, equipment=1, seed=4))
+    decoder_for.cache_clear()
+    decoder = decoder_for(inst)
+    save_instance(inst, tmp_path / "inst.json")
+    again = load_instance(tmp_path / "inst.json")
+    assert again == inst and again is not inst
+    assert hash(again) == hash(inst) == hash((inst.jobs, inst.machines, inst.label))
+    assert decoder_for(again) is decoder
+
+
+def test_a_reordered_park_gets_its_own_table():
+    inst = generate_instance(GenConfig(n=5, equipment=2, seed=4))
+    flipped = Instance(jobs=inst.jobs, machines=inst.machines[::-1])
+    decoder_module._park.cache_clear()
+    Decoder(inst), Decoder(flipped)
+    assert decoder_module._park.cache_info().currsize == 2
+    # The machine indices differ, the greedy choice does not.
+    order = [j.id for j in inst.jobs]
+    assert Decoder(flipped).schedule(order) == Decoder(inst).schedule(order)
+
+
+def _hundred_instances():
+    return [generate_instance(GenConfig(n=1 + k % 9, ready_scenario=list(ReadyScenario)[k % 2],
+                                        equipment=1 + k // 50, seed=k))
+            for k in range(100)]
+
+
+def test_park_tables_stay_bounded_over_generated_instances():
+    instances = _hundred_instances()
+    decoder_module._park.cache_clear()
+    for inst in instances:
+        decode(inst, sp_initial_order(inst), Objective.TWT)
+    assert decoder_module._park.cache_info().currsize == 2
+    for mc in (1, 2):
+        park = decoder_module._park(tuple(equipment(mc)))
+        assert 1 <= len(park.patterns) <= 64
+    assert decoder_module._park.cache_info().currsize == 2
+
+
+def test_decoders_read_routes_once_per_park_and_stage_pattern(monkeypatch):
+    instances = _hundred_instances()  # validation reads routes per job
+    calls = Counter()
+    routes = park_routes
+
+    def counted(instance, job):
+        calls[instance.machines, job.stages] += 1
+        return routes(instance, job)
+
+    monkeypatch.setattr(core, "park_routes", counted)
+    monkeypatch.setattr(decoder_module, "park_routes", counted)
+    decoder_module._park.cache_clear()
+    for inst in instances:
+        Decoder(inst)
+    assert calls and max(calls.values()) == 1
+    assert len({machines for machines, _ in calls}) == 2

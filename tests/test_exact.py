@@ -358,6 +358,40 @@ def test_solve_exact_raises_on_other_highs_status(monkeypatch):
     assert calls
 
 
+def test_solve_exact_solves_the_literal_model_when_highs_fails_on_the_first():
+    # HiGHS ends the per-reservation model of this instance in "Solve error"
+    # (status 4), yet solves its literal model.
+    inst = generate_instance(GenConfig(n=5, ready_scenario=ReadyScenario.ALL_ZERO, T=0.6,
+                                       R=0.5, equipment=2, seed=671925))
+    literal = export_milp(inst, Objective.WCT)
+    status, values = exact._solve_model(literal, None)
+    assert status == 0
+    optimum = round(sum(c * values[v] for v, c in literal.objective.items()))
+    result = solve_exact(inst, Objective.WCT, time_limit=60)
+    assert (result.status, result.value) == (OPTIMAL, optimum)
+    assert check_feasibility(inst, result.schedule) == []
+    assert check_values(literal, schedule_to_values(inst, result.schedule, literal)) == []
+
+
+def test_a_failed_first_solve_hands_the_time_left_to_the_literal_model(monkeypatch):
+    calls = []
+    solve_model = exact._solve_model
+
+    def fail_first(model, time_limit):
+        calls.append((model, time_limit))
+        if len(calls) == 1:
+            raise SolverError("HiGHS status 4: injected")
+        return solve_model(model, time_limit)
+
+    monkeypatch.setattr(exact, "_solve_model", fail_first)
+    inst = passing_instance()
+    result = solve_exact(inst, Objective.TWT, time_limit=60)
+    assert (result.status, result.value) == (OPTIMAL, 510)
+    (_, first), (model, second) = calls
+    assert write_lp(model) == write_lp(export_milp(inst, Objective.TWT))
+    assert first == 60 and 0 < second < 60
+
+
 def test_solve_exact_proves_the_per_job_bound_without_highs(monkeypatch):
     # n = 2 on park 2 at seed 1: SP's initial order meets the bound.
     inst = generate_instance(GenConfig(n=2, equipment=2, seed=1))

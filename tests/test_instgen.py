@@ -12,6 +12,7 @@ from photosched.instgen import (
     CmaxEstimate,
     GenConfig,
     ReadyScenario,
+    _estimate_and_window,
     _round_half_up,
     due_window,
     equipment,
@@ -123,6 +124,27 @@ def test_golden_instance_files(tmp_path, config):
                                               T=T, R=R, equipment=park, seed=seed)),
                   str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_INSTANCES[config]
+
+
+def test_generated_instances_of_a_scenario_share_one_park():
+    a, b = (generate_instance(GenConfig(n=3, equipment=1, seed=s)) for s in (1, 2))
+    assert a.machines is b.machines
+    assert a.machines == tuple(equipment(1))
+    assert generate_instance(GenConfig(n=3, equipment=2, seed=1)).machines == tuple(equipment(2))
+    park = equipment(1)
+    park.pop()
+    assert equipment(1) is not park and len(equipment(1)) == 22
+
+
+def test_cached_estimate_and_window_equal_fresh_arithmetic():
+    assert _estimate_and_window.cache_info().maxsize is not None
+    for n in (1, 2, 5, 7, 25, 40):
+        for mc in (1, 2):
+            est = estimate_cmax(n, equipment(mc))
+            for T in (0, 0.3, 0.6, 1, Fraction(1, 3)):
+                for R in (0, 0.5, 2.5, 10):
+                    cached = _estimate_and_window(n, mc, str(T), str(R))
+                    assert cached == (est, due_window(T, R, est))
 
 
 def test_gen_weights_range():
