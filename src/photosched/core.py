@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 N_STAGES = 6
 STAGES = tuple(range(1, N_STAGES + 1))
@@ -138,6 +138,8 @@ class Instance:
             raise ValueError("duplicate job ids")
         if len(set(mids)) != len(mids):
             raise ValueError("duplicate machine ids")
+        if not self.jobs:
+            raise ValueError("instance has no jobs")
         for job in self.jobs:
             if not park_routes(self, job):
                 raise ValueError(f"job {job.id}: no route through the machine park")
@@ -151,12 +153,15 @@ class Instance:
     def _hash(self) -> int:
         return hash((self.jobs, self.machines, self.label))
 
-    def __getstate__(self):  # string hashes, and so `_hash`, differ per process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    # String hashes, and so `_hash`, differ per process, and the park's
+    # table is shared through a per-process cache.
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "park")}
 
     @cached_property
-    def _park_classes(self) -> FrozenSet[str]:
-        return frozenset([m.tool_class for m in self.machines])
+    def park(self) -> "Park":
+        """The routing table of this instance's machine park."""
+        return _park(self.machines)
 
     def job(self, job_id: str) -> Job:
         return self._job_index[job_id]
@@ -187,10 +192,6 @@ class RouteChoice:
     family: str
     stage_class: Tuple[Tuple[int, str], ...]
 
-    @property
-    def stages(self) -> Tuple[int, ...]:
-        return tuple(s for s, _ in self.stage_class)
-
 
 def _require_core_stages(job: Job) -> None:
     if not (job.needs(COAT) and job.needs(EXPOSE) and job.needs(DEVELOP)):
@@ -205,8 +206,7 @@ def eligible_machines(instance: Instance, stage: int) -> List[Machine]:
     return [m for m in instance.machines if m.tool_class in classes]
 
 
-# Routes depend only on the needed stages and, on a park, its tool classes,
-# so both are cached: there are at most 64 stage patterns and 512 class sets.
+# Routes depend only on the needed stages: there are at most 64 patterns.
 @lru_cache(maxsize=None)
 def _routes(stages: Tuple[int, ...]) -> Tuple[RouteChoice, ...]:
     """The routes of a job needing exactly `stages`: the individual tools,
@@ -223,11 +223,63 @@ def _routes(stages: Tuple[int, ...]) -> Tuple[RouteChoice, ...]:
         for family in families)
 
 
-@lru_cache(maxsize=None)
-def _park_routes(stages: Tuple[int, ...],
-                 classes: FrozenSet[str]) -> Tuple[RouteChoice, ...]:
-    return tuple(r for r in _routes(stages)
-                 if all(cls in classes for _, cls in r.stage_class))
+class Pattern(NamedTuple):
+    """A park's table for one pattern of needed stages."""
+
+    routes: Tuple[RouteChoice, ...]  # the routes the park realizes
+    candidates: tuple  # per needed stage, (machine index, later covered stages)
+    affinity: int  # cluster machines on those routes
+
+
+class Park:
+    """The routing table of one machine park, shared by its instances.
+
+    At each needed stage a job may commit to the classes that begin there
+    a route the park realizes: an individual class begins at every stage
+    it serves, a cluster only at its entry stage.  A candidate is (machine
+    index, later covered stages of a cluster); candidates are pre-sorted
+    by the decoder's tie-break: more covered stages first, then machine
+    id.  Routes depend only on a job's needed stages, so each of the at
+    most 64 stage patterns is tabled once, when a job first needs it.
+    """
+
+    def __init__(self, machines: Tuple[Machine, ...]):
+        self.machine_ids = tuple(m.id for m in machines)
+        self._classes = frozenset(m.tool_class for m in machines)
+        ranked = sorted(enumerate(machines),
+                        key=lambda km: (-len(km[1].covered_stages), km[1].id))
+        self._ranked = tuple(
+            (m.tool_class, (k, tuple(s for s in m.covered_stages
+                                     if s > CLUSTER_ENTRY[m.tool_class])
+                            if m.is_cluster else ()))
+            for k, m in ranked)
+        self._clusters = tuple(m.tool_class for m in machines if m.is_cluster)
+        self.patterns: Dict[Tuple[int, ...], Pattern] = {}
+
+    def pattern(self, stages: Tuple[int, ...]) -> Pattern:
+        """The table of a job needing exactly `stages`."""
+        found = self.patterns.get(stages)
+        if found is None:
+            routes = tuple(r for r in _routes(stages)
+                           if all(cls in self._classes for _, cls in r.stage_class))
+            entry: Dict[int, set] = {s: set() for s in stages}
+            for route in routes:
+                for s, cls in route.stage_class:
+                    if CLUSTER_ENTRY.get(cls, s) == s:
+                        entry[s].add(cls)
+            families = {r.family for r in routes}
+            found = self.patterns[stages] = Pattern(
+                routes,
+                tuple(tuple(c for cls, c in self._ranked if cls in entry[s])
+                      for s in stages),
+                sum(1 for cls in self._clusters if cls in families))
+        return found
+
+
+# Keyed on the machine tuple, order included: candidates hold indices.
+@lru_cache(maxsize=8)
+def _park(machines: Tuple[Machine, ...]) -> Park:
+    return Park(machines)
 
 
 def route_options(job: Job) -> List[RouteChoice]:
@@ -240,15 +292,13 @@ def park_routes(instance: Instance, job: Job) -> List[RouteChoice]:
     """The job's routes the instance's park can realize: it has a machine
     of every tool class on the route."""
     _require_core_stages(job)
-    return list(_park_routes(job.stages, instance._park_classes))
+    return list(instance.park.pattern(job.stages).routes)
 
 
 def big_m(instance: Instance) -> int:
     """Disjunctive big-M constant: total processing time over all jobs plus
     the latest ready time, which bounds every completion of a semi-active
     schedule."""
-    if not instance.jobs:
-        raise ValueError("instance has no jobs")
     return (sum(job.total_time for job in instance.jobs)
             + max(job.ready for job in instance.jobs))
 
@@ -271,12 +321,22 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _whole(value, job_id, name: str) -> int:
+    """A file's time or weight as an int: a whole number, never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"job {job_id}: {name} must be a whole number, got {value!r}")
+
+
 def instance_from_dict(data: dict) -> Instance:
     if data.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported instance file version {data.get('version')!r}")
     machines = tuple(Machine(m["id"], m["class"]) for m in data["machines"])
     jobs = tuple(
-        Job(j["id"], tuple(int(t) for t in j["p"]), int(j["r"]), int(j["d"]), int(j["w"]))
+        Job(j["id"], tuple(_whole(t, j["id"], "p") for t in j["p"]),
+            *(_whole(j[key], j["id"], key) for key in ("r", "d", "w")))
         for j in data["jobs"]
     )
     return Instance(jobs=jobs, machines=machines, label=data.get("label", ""))

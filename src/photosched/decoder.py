@@ -8,9 +8,9 @@ stages to it and reserves the tool for the whole span.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import CLUSTER_ENTRY, Instance, Job, Machine, Objective, park_routes
+from .core import Instance, Job, Objective
 from .evaluator import Schedule, Visit, completion_objective, objective_value
 
 
@@ -36,68 +36,7 @@ class JobOrder:
 
 def cluster_affinity(instance: Instance, job: Job) -> int:
     """Number of cluster machines the job could be routed through."""
-    return _park(instance.machines).pattern(instance, job).affinity
-
-
-def _entry_classes(instance: Instance, job: Job) -> Dict[int, Set[str]]:
-    """Per needed stage, the tool classes the job may commit to when it
-    reaches the stage uncovered: those that begin there a route the park
-    realizes.  An individual class begins at every stage it serves, a
-    cluster only at its entry stage."""
-    out: Dict[int, Set[str]] = {s: set() for s in job.stages}
-    for route in park_routes(instance, job):
-        for s, cls in route.stage_class:
-            if CLUSTER_ENTRY.get(cls, s) == s:
-                out[s].add(cls)
-    return out
-
-
-class _Pattern(NamedTuple):
-    candidates: tuple  # per needed stage, (machine index, later covered stages)
-    affinity: int  # cluster machines on the job's routes
-
-
-class _Park:
-    """The routing tables of one machine park, shared by its instances.
-
-    A candidate is (machine index, later covered stages of a cluster);
-    candidates are pre-sorted by the tie-break: more covered stages first,
-    then machine id.  Routes depend only on a job's needed stages, so each
-    of the at most 64 stage patterns is tabled once, when a job first
-    needs it.
-    """
-
-    def __init__(self, machines: Tuple[Machine, ...]):
-        self.machine_ids = tuple(m.id for m in machines)
-        ranked = sorted(enumerate(machines),
-                        key=lambda km: (-len(km[1].covered_stages), km[1].id))
-        self._ranked = tuple(
-            (m.tool_class, (k, tuple(s for s in m.covered_stages
-                                     if s > CLUSTER_ENTRY[m.tool_class])
-                            if m.is_cluster else ()))
-            for k, m in ranked)
-        self._clusters = tuple(m.tool_class for m in machines if m.is_cluster)
-        self.patterns: Dict[Tuple[int, ...], _Pattern] = {}
-
-    def pattern(self, instance: Instance, job: Job) -> _Pattern:
-        """The table of `job`'s needed stages; `instance` has this park."""
-        found = self.patterns.get(job.stages)
-        if found is None:
-            classes = _entry_classes(instance, job)
-            # A cluster class on one of the job's routes begins it at its
-            # entry stage, so the entry classes name every usable family.
-            usable = set().union(*classes.values())
-            found = self.patterns[job.stages] = _Pattern(
-                tuple(tuple(c for cls, c in self._ranked if cls in classes[s])
-                      for s in job.stages),
-                sum(1 for cls in self._clusters if cls in usable))
-        return found
-
-
-# Keyed on the machine tuple, order included: candidates hold indices.
-@lru_cache(maxsize=8)
-def _park(machines: Tuple[Machine, ...]) -> _Park:
-    return _Park(machines)
+    return instance.park.pattern(job.stages).affinity
 
 
 class _JobSteps(NamedTuple):
@@ -113,18 +52,18 @@ class Decoder:
     Each job is reduced to its ready time, due date, weight and a tuple of
     (stage, duration, candidates) steps, where candidates holds the
     machines the job may commit to at that stage, read from its park's
-    shared table.  `score` and `schedule` share one placement loop, so
-    both apply the same greedy rule.
+    shared table (`Instance.park`).  `score` and `schedule` share one
+    placement loop, so both apply the same greedy rule.
     """
 
     def __init__(self, instance: Instance):
-        park = _park(instance.machines)
+        park = instance.park
         self._machine_ids = park.machine_ids
         self._jobs: Dict[str, _JobSteps] = {}
         for job in instance.jobs:
             stages = job.stages
             steps = tuple(zip(stages, map(job.duration, stages),
-                              park.pattern(instance, job).candidates))
+                              park.pattern(stages).candidates))
             self._jobs[job.id] = _JobSteps(job.ready, job.due, job.weight, steps)
 
     def score(self, order: Sequence[str], kind: Objective) -> int:

@@ -38,7 +38,6 @@ from .core import (
     Objective,
     big_m,
     eligible_machines,
-    park_routes,
 )
 from .decoder import decoder_for
 from .evaluator import (
@@ -534,40 +533,33 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
         model.continuous += [f"T_{job.id}" for job in jobs]
         model.weights = dict(zip(tardy.tolist(), (float(job.weight) for job in jobs)))
 
-    # Assignment variables; cluster machines get one committing variable at
-    # their entry stage, with the covered stages tied to it.
+    # Assignment variables: one per candidate of the park's table, which
+    # commits the job to the machine at that stage and to a cluster's
+    # later covered stages too.  Per machine, the candidates taking it:
+    # (job index, entry stage, later covered stages).
     x_options: Dict[Visit, List[int]] = {(job.id, s): [] for job in jobs for s in job.stages}
-    # Every possible reservation, and per machine (job id, "job_exit"
-    # tag, reservation index) for each of its own.
+    takes: List[List[Tuple[int, int, Tuple[int, ...]]]] = [[] for _ in instance.machines]
+    for j, job in enumerate(jobs):
+        for s, options in zip(job.stages, instance.park.pattern(job.stages).candidates):
+            for k, later in options:
+                takes[k].append((j, s, later))
+    # Every reservation, and per machine (job id, "job_exit" tag,
+    # reservation index) for each of its own.
     reservations: List[Tuple[int, int, int, int]] = []
     occupations: Dict[str, List[Tuple[str, str, int]]] = {}
-    families = {job.id: {r.family for r in park_routes(instance, job)}
-                for job in jobs}
     completion = C.tolist()
-
-    def reserve(machine, j, entry, exit_stage):
-        job = jobs[j]
-        x = len(model.continuous) + len(model.binary)
-        model.binary.append(_xvar(entry, machine.id, job.id))
-        occupations[machine.id].append((job.id, f"{job.id}_{exit_stage}", len(reservations)))
-        reservations.append((completion[j][entry - 1], completion[j][exit_stage - 1], x,
-                             job.duration(entry)))
-        return x
-
-    for machine in instance.machines:
-        occupations[machine.id] = []
-        for j, job in enumerate(jobs):
-            if machine.is_cluster:
-                if machine.tool_class not in families[job.id]:
-                    continue
-                covered = machine.covered_stages
-                x = reserve(machine, j, covered[0], covered[-1])
-                for s in covered:
-                    x_options[(job.id, s)].append(x)
-            else:
-                for s in machine.covered_stages:
-                    if job.needs(s):
-                        x_options[(job.id, s)].append(reserve(machine, j, s, s))
+    for machine, taken in zip(instance.machines, takes):
+        occupations[machine.id] = occupied = []
+        for j, entry, later in taken:
+            job = jobs[j]
+            exit_stage = later[-1] if later else entry
+            x = len(model.continuous) + len(model.binary)
+            model.binary.append(_xvar(entry, machine.id, job.id))
+            occupied.append((job.id, f"{job.id}_{exit_stage}", len(reservations)))
+            reservations.append((completion[j][entry - 1], completion[j][exit_stage - 1],
+                                 x, job.duration(entry)))
+            for s in (entry,) + later:
+                x_options[(job.id, s)].append(x)
 
     # Instance validation guarantees every needed stage an option.
     width = max(map(len, x_options.values()))

@@ -130,24 +130,24 @@ def _run_one(instance: Instance, kind: Objective, n, ready, T, R, mc, rep,
                             runtimes=runtimes)
 
 
-def performance_ratio(record: ExperimentRecord, solver: str = "ga") -> Optional[float]:
-    """Heuristic value over proven optimum; None when undefined."""
-    if record.exact_status != OPTIMAL or record.of_exact is None:
-        return None
-    if record.of_exact == 0:
+def _ratio(record: ExperimentRecord, status: str, solver: str) -> Optional[float]:
+    """The heuristic value over the exact one, for a record whose exact run
+    ended with `status`; None for any other record and when the exact
+    value is missing or 0."""
+    if record.exact_status != status or not record.of_exact:
         return None
     value = record.of_ga if solver == "ga" else record.of_sp
     return value / record.of_exact
+
+
+def performance_ratio(record: ExperimentRecord, solver: str = "ga") -> Optional[float]:
+    """Heuristic value over proven optimum; None when undefined."""
+    return _ratio(record, OPTIMAL, solver)
 
 
 def heuristic_ratio(record: ExperimentRecord, solver: str = "ga") -> Optional[float]:
     """Heuristic value over the time-limited incumbent; None when undefined."""
-    if record.exact_status != TIMED_OUT or record.of_exact is None:
-        return None
-    if record.of_exact == 0:
-        return None
-    value = record.of_ga if solver == "ga" else record.of_sp
-    return value / record.of_exact
+    return _ratio(record, TIMED_OUT, solver)
 
 
 def matches(record: ExperimentRecord, pattern: Tuple) -> bool:
@@ -157,21 +157,21 @@ def matches(record: ExperimentRecord, pattern: Tuple) -> bool:
 def aggregate(records: List[ExperimentRecord], pattern: Tuple,
               objective: Objective, solver: str = "ga",
               ratio: str = "pr") -> AggregateRow:
-    """Mean PR or HR over records matching the wildcard pattern."""
-    fn = performance_ratio if ratio == "pr" else heuristic_ratio
+    """Mean PR or HR over records matching the wildcard pattern.
+
+    Records of the ratio's exact status without a ratio (an exact value of
+    0) are counted as excluded."""
     wanted = OPTIMAL if ratio == "pr" else TIMED_OUT
     values = []
     excluded = 0
     for rec in records:
         if rec.objective != objective.value or not matches(rec, pattern):
             continue
-        if rec.exact_status != wanted:
-            continue
-        r = fn(rec, solver)
-        if r is None:
-            excluded += 1
-        else:
+        r = _ratio(rec, wanted, solver)
+        if r is not None:
             values.append(r)
+        elif rec.exact_status == wanted:
+            excluded += 1
     mean = sum(values) / len(values) if values else None
     return AggregateRow(pattern=pattern, mean=mean, count=len(values),
                         excluded_zero=excluded)

@@ -138,8 +138,9 @@ def gen_weights(rng: random.Random, n: int) -> List[int]:
     return [rng.randint(1, 5) for _ in range(n)]
 
 
-# Instances of one scenario share one machine tuple, so the tables built
-# per park (the decoder's) are found by identity before equality.
+# Instances of one scenario share one machine tuple, so their park's
+# routing table (`core`'s, read through `Instance.park`) is found by
+# identity before equality.
 @lru_cache(maxsize=len(EQUIPMENT_COUNTS))
 def _machine_park(scenario: int) -> Tuple[Machine, ...]:
     return tuple(equipment(scenario))

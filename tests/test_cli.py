@@ -307,3 +307,26 @@ def test_solve_exact_rejects_invalid_time_limit(instance_path, capsys, limit):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "time limit" in err
+
+
+# Non-integral times and weights used to be truncated on load.
+def test_solve_rejects_non_integral_file_values(instance_path, capsys):
+    data = json.loads(instance_path.read_text())
+    data["jobs"][1]["p"][2] = 75.5
+    instance_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "solve", str(instance_path), "--alg", "sp")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: job {data['jobs'][1]['id']}: p must be a whole number")
+
+
+# A job-less file used to pass validation: SP died with ZeroDivisionError,
+# GA and exact reported 0 and export-lp failed inside big_m.
+@pytest.mark.parametrize("argv", [["solve", "--alg", "sp"], ["solve", "--alg", "ga"],
+                                  ["solve", "--alg", "exact"], ["export-lp"]])
+def test_commands_reject_an_instance_without_jobs(instance_path, capsys, argv):
+    data = json.loads(instance_path.read_text())
+    data["jobs"] = []
+    instance_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv[0], str(instance_path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err == "error: instance has no jobs\n"

@@ -178,7 +178,7 @@ def test_route_stage_class_mapping():
     ed = dict(by_family["ED"].stage_class)
     assert ed[2] == "C"  # ED requires an individual coater
     assert ed[3] == "ED"
-    assert by_family["individual"].stages == job.stages
+    assert tuple(s for s, _ in by_family["individual"].stage_class) == job.stages
 
 
 def test_big_m_is_total_processing_time():
@@ -219,6 +219,49 @@ def test_a_pickled_instance_hashes_like_an_equal_one_in_another_process():
     out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(inst),
                          capture_output=True, env=env, check=True, timeout=60)
     assert out.stdout.split() == [b"True", b"True", b"1"]
+
+
+def test_instance_rejects_no_jobs():
+    with pytest.raises(ValueError, match="instance has no jobs"):
+        Instance(jobs=(), machines=tuple(equipment(2)))
+
+
+def _file_data():
+    return instance_to_dict(
+        Instance(jobs=(make_job((40, 20, 75, 0, 30, 45), ready=12, due=300, weight=2),),
+                 machines=tuple(equipment(2))))
+
+
+# Values used to be truncated: a 40.9-minute sink loaded as 40, `true` as 1.
+@pytest.mark.parametrize("key,value", [("p", 40.9), ("p", True), ("r", 12.7),
+                                       ("d", True), ("w", 2.5), ("w", "2"),
+                                       ("r", float("inf")), ("d", None)])
+def test_instance_file_rejects_values_that_are_not_whole_numbers(key, value):
+    data = _file_data()
+    if key == "p":
+        data["jobs"][0]["p"][0] = value
+    else:
+        data["jobs"][0][key] = value
+    with pytest.raises(ValueError, match=f"job J1: {key} must be a whole number"):
+        instance_from_dict(data)
+
+
+def test_instance_file_reads_whole_floats_as_integers():
+    data = _file_data()
+    job = data["jobs"][0]
+    job["p"] = [float(t) for t in job["p"]]
+    job["r"], job["d"], job["w"] = 12.0, 300.0, 2.0
+    inst = instance_from_dict(data)
+    assert inst == instance_from_dict(_file_data())
+    assert all(type(v) is int for v in inst.jobs[0].p + (inst.jobs[0].ready,))
+
+
+def test_an_unpickled_instance_shares_its_parks_table():
+    # The table is per process: pickling drops it, as it drops the hash.
+    inst = Instance(jobs=(make_job((40, 20, 75, 0, 30, 45)),),
+                    machines=tuple(equipment(2)))
+    again = pickle.loads(pickle.dumps(inst))
+    assert "park" not in vars(again) and again.park is inst.park
 
 
 def test_instance_file_version_checked():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from photosched import core, exact, search
 from photosched import decoder as decoder_module
 from photosched.core import (
+    CLUSTER_ENTRY,
     TOOL_STAGES,
     Instance,
     Job,
@@ -26,7 +27,6 @@ from photosched.decoder import (
     DecodeError,
     Decoder,
     JobOrder,
-    _entry_classes,
     cluster_affinity,
     decode,
     decoder_for,
@@ -158,6 +158,16 @@ def test_decode_deterministic():
     assert a[0].completion == b[0].completion
 
 
+def entry_classes(instance, job, stage):
+    """The classes that begin, at `stage`, a route of `job` that the park
+    realizes: it has a machine of every class on the route."""
+    present = {m.tool_class for m in instance.machines}
+    return {cls for route in route_options(job)
+            if all(c in present for _, c in route.stage_class)
+            for s, cls in route.stage_class
+            if s == stage and CLUSTER_ENTRY.get(cls, s) == s}
+
+
 def reference_schedule(instance, order):
     """The greedy rule written directly: every stage rescans the machines.
 
@@ -174,7 +184,7 @@ def reference_schedule(instance, order):
             if stage in committed:
                 mid, start = committed[stage], prev_c
             else:
-                classes = _entry_classes(instance, job)[stage]
+                classes = entry_classes(instance, job, stage)
                 cands = [m for m in instance.machines if m.tool_class in classes]
                 best = min(cands, key=lambda m: (max(free[m.id], prev_c),
                                                  -len(m.covered_stages), m.id))
@@ -342,15 +352,22 @@ def _decoder_results(decoder, instance):
             for order in orders] + [[decoder.lower_bound(kind) for kind in Objective]]
 
 
+def _fresh(instance):
+    """An equal instance with a table of its own."""
+    core._park.cache_clear()
+    fresh = Instance(jobs=instance.jobs, machines=instance.machines, label=instance.label)
+    assert fresh.park is not instance.park
+    return fresh
+
+
 @settings(max_examples=60, deadline=None)
 @given(shared_park_instances())
 def test_instances_on_one_park_share_tables_that_change_no_result(pair):
-    decoder_module._park.cache_clear()
+    assert pair[0].park is pair[1].park  # one table for both
     shared = [Decoder(inst) for inst in pair]
-    assert decoder_module._park.cache_info().currsize == 1  # one table for both
     for inst, decoder in zip(pair, shared):
-        decoder_module._park.cache_clear()
-        assert _decoder_results(decoder, inst) == _decoder_results(Decoder(inst), inst)
+        fresh = _fresh(inst)
+        assert _decoder_results(decoder, inst) == _decoder_results(Decoder(fresh), fresh)
         order = [j.id for j in inst.jobs]
         assert decoder.schedule(order) == reference_schedule(inst, order)[0]
         for job in inst.jobs:
@@ -371,11 +388,11 @@ def test_an_equal_instance_from_file_gets_the_same_decoder(tmp_path):
 
 
 def test_a_reordered_park_gets_its_own_table():
+    core._park.cache_clear()
     inst = generate_instance(GenConfig(n=5, equipment=2, seed=4))
     flipped = Instance(jobs=inst.jobs, machines=inst.machines[::-1])
-    decoder_module._park.cache_clear()
-    Decoder(inst), Decoder(flipped)
-    assert decoder_module._park.cache_info().currsize == 2
+    assert core._park.cache_info().currsize == 2
+    assert flipped.park is not inst.park
     # The machine indices differ, the greedy choice does not.
     order = [j.id for j in inst.jobs]
     assert Decoder(flipped).schedule(order) == Decoder(inst).schedule(order)
@@ -388,30 +405,42 @@ def _hundred_instances():
 
 
 def test_park_tables_stay_bounded_over_generated_instances():
-    instances = _hundred_instances()
-    decoder_module._park.cache_clear()
-    for inst in instances:
+    core._park.cache_clear()
+    for inst in _hundred_instances():
         decode(inst, sp_initial_order(inst), Objective.TWT)
-    assert decoder_module._park.cache_info().currsize == 2
+    assert core._park.cache_info().currsize == 2
     for mc in (1, 2):
-        park = decoder_module._park(tuple(equipment(mc)))
+        park = core._park(tuple(equipment(mc)))
         assert 1 <= len(park.patterns) <= 64
-    assert decoder_module._park.cache_info().currsize == 2
+    assert core._park.cache_info().currsize == 2
 
 
 def test_decoders_read_routes_once_per_park_and_stage_pattern(monkeypatch):
+    tabled = Counter()
+    routes = core._routes
+
+    def counted(stages):
+        tabled[stages] += 1
+        return routes(stages)
+
+    monkeypatch.setattr(core, "_routes", counted)
+    core._park.cache_clear()
     instances = _hundred_instances()  # validation reads routes per job
-    calls = Counter()
-    routes = park_routes
-
-    def counted(instance, job):
-        calls[instance.machines, job.stages] += 1
-        return routes(instance, job)
-
-    monkeypatch.setattr(core, "park_routes", counted)
-    monkeypatch.setattr(decoder_module, "park_routes", counted)
-    decoder_module._park.cache_clear()
     for inst in instances:
         Decoder(inst)
-    assert calls and max(calls.values()) == 1
-    assert len({machines for machines, _ in calls}) == 2
+        for job in inst.jobs:
+            cluster_affinity(inst, job)
+    parks = {id(inst.park): inst.park for inst in instances}
+    assert len(parks) == 2
+    assert tabled and sum(tabled.values()) == sum(len(p.patterns) for p in parks.values())
+
+
+def test_a_built_instance_reads_its_table_without_a_park_lookup():
+    inst = generate_instance(GenConfig(n=5, equipment=1, seed=4))
+    sp_initial_order.cache_clear()
+    before = core._park.cache_info()
+    for job in inst.jobs:
+        cluster_affinity(inst, job)
+    sp_initial_order(inst)
+    after = core._park.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

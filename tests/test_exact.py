@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from enumeration import brute_force
 from photosched import exact
-from photosched.core import Instance, Job, Objective
+from photosched.core import Instance, Job, Machine, Objective
 from photosched.decoder import Decoder, JobOrder, decode
-from photosched.evaluator import check_feasibility
+from photosched.evaluator import check_feasibility, objective_value
 from photosched.exact import (
     INFEASIBLE,
     OPTIMAL,
@@ -323,6 +324,31 @@ def test_instance_without_route_is_rejected():
     machines = tuple(m for m in equipment(2) if m.tool_class not in ("C", "D"))
     with pytest.raises(ValueError, match="job J1"):
         Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
+
+
+# A park without an individual coater: every route starts on CE1 or CEDB1,
+# so no job may take E1 at stage 3.  The relaxation used to reserve E1 for
+# both jobs anyway (12 binaries; 22 rows for wct); it now reserves exactly
+# the candidates of the park's table (9 binaries; 20 rows), with equal optima.
+def test_relaxation_reserves_the_park_tables_candidates():
+    machines = tuple(Machine(f"{cls}1", cls) for cls in ("S", "CE", "CEDB", "E", "D", "B"))
+    jobs = (Job("J1", (40, 20, 75, 0, 30, 45)), Job("J2", (0, 20, 75, 0, 30, 0)))
+    inst = Instance(jobs=jobs, machines=machines)
+    ids = inst.park.machine_ids
+    candidates = sorted(f"x_{s}_{ids[k]}_{job.id}" for job in jobs
+                        for s, options in zip(job.stages,
+                                              inst.park.pattern(job.stages).candidates)
+                        for k, _ in options)
+    truth = brute_force(inst)
+    assert (truth[Objective.WCT], truth[Objective.CMAX]) == (335, 210)
+    for kind in Objective:
+        model = exact._disjunctive_model(inst, kind)
+        assert sorted(v for v in model.binary if v.startswith("x_")) == candidates
+        assert model.counts[2] == 9
+        status, values = exact._solve_model(model, None)
+        schedule = exact._schedule_from_values(inst, values)
+        assert status == 0 and check_feasibility(inst, schedule) == []
+        assert objective_value(inst, schedule, kind) == truth[kind]
 
 
 def _fake_milp(monkeypatch, result):
