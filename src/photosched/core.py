@@ -82,6 +82,11 @@ class Machine:
         return self.tool_class in CLUSTER_ENTRY
 
 
+# The instance file's key of each value a job checks: stage times, then
+# ready time, due date and weight.
+_JOB_KEYS = ("p",) * N_STAGES + ("r", "d", "w")
+
+
 @dataclass(frozen=True)
 class Job:
     id: str
@@ -94,6 +99,12 @@ class Job:
         object.__setattr__(self, "p", tuple(self.p))  # hashable, as caches need
         if len(self.p) != N_STAGES:
             raise ValueError(f"job {self.id}: expected {N_STAGES} stage times")
+        # Times and weights are whole numbers: SP's due/weight key is a
+        # Fraction, and a bool is no time.  Named as in the instance file.
+        for key, value in zip(_JOB_KEYS, self.p + (self.ready, self.due, self.weight)):
+            if type(value) is not int:
+                raise ValueError(
+                    f"job {self.id}: {key} must be a whole number, got {value!r}")
         if any(t < 0 for t in self.p):
             raise ValueError(f"job {self.id}: negative processing time")
         if self.ready < 0 or self.due < 0:
@@ -227,7 +238,7 @@ class Pattern(NamedTuple):
     """A park's table for one pattern of needed stages."""
 
     routes: Tuple[RouteChoice, ...]  # the routes the park realizes
-    candidates: tuple  # per needed stage, (machine index, later covered stages)
+    candidates: tuple  # per needed stage, machine indices in tie-break order
     affinity: int  # cluster machines on those routes
 
 
@@ -236,23 +247,23 @@ class Park:
 
     At each needed stage a job may commit to the classes that begin there
     a route the park realizes: an individual class begins at every stage
-    it serves, a cluster only at its entry stage.  A candidate is (machine
-    index, later covered stages of a cluster); candidates are pre-sorted
-    by the decoder's tie-break: more covered stages first, then machine
-    id.  Routes depend only on a job's needed stages, so each of the at
-    most 64 stage patterns is tabled once, when a job first needs it.
+    it serves, a cluster only at its entry stage.  A candidate is a machine
+    index; candidates are pre-sorted by the decoder's tie-break: more
+    covered stages first, then machine id.  `later[k]` holds the later
+    stages a lot committing to machine k keeps it for: a cluster's covered
+    stages after its entry stage, () for an individual tool.  Routes
+    depend only on a job's needed stages, so each of the at most 64 stage
+    patterns is tabled once, when a job first needs it.
     """
 
     def __init__(self, machines: Tuple[Machine, ...]):
         self.machine_ids = tuple(m.id for m in machines)
+        self.later = tuple(m.covered_stages[1:] if m.is_cluster else ()
+                           for m in machines)
         self._classes = frozenset(m.tool_class for m in machines)
         ranked = sorted(enumerate(machines),
                         key=lambda km: (-len(km[1].covered_stages), km[1].id))
-        self._ranked = tuple(
-            (m.tool_class, (k, tuple(s for s in m.covered_stages
-                                     if s > CLUSTER_ENTRY[m.tool_class])
-                            if m.is_cluster else ()))
-            for k, m in ranked)
+        self._ranked = tuple((m.tool_class, k) for k, m in ranked)
         self._clusters = tuple(m.tool_class for m in machines if m.is_cluster)
         self.patterns: Dict[Tuple[int, ...], Pattern] = {}
 
@@ -321,13 +332,12 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _whole(value, job_id, name: str) -> int:
-    """A file's time or weight as an int: a whole number, never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+def _whole(value):
+    """A whole float read as an int (JSON may write 40 as 40.0); `Job`
+    rejects every other value that is not an int."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"job {job_id}: {name} must be a whole number, got {value!r}")
+    return value
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -335,8 +345,8 @@ def instance_from_dict(data: dict) -> Instance:
         raise ValueError(f"unsupported instance file version {data.get('version')!r}")
     machines = tuple(Machine(m["id"], m["class"]) for m in data["machines"])
     jobs = tuple(
-        Job(j["id"], tuple(_whole(t, j["id"], "p") for t in j["p"]),
-            *(_whole(j[key], j["id"], key) for key in ("r", "d", "w")))
+        Job(j["id"], tuple(map(_whole, j["p"])),
+            *(_whole(j[key]) for key in ("r", "d", "w")))
         for j in data["jobs"]
     )
     return Instance(jobs=jobs, machines=machines, label=data.get("label", ""))

@@ -43,7 +43,7 @@ class _JobSteps(NamedTuple):
     ready: int
     due: int
     weight: int
-    steps: tuple  # (stage, duration, candidates)
+    steps: tuple  # (stage, duration, candidate machine indices in tie-break order)
 
 
 class Decoder:
@@ -51,14 +51,16 @@ class Decoder:
 
     Each job is reduced to its ready time, due date, weight and a tuple of
     (stage, duration, candidates) steps, where candidates holds the
-    machines the job may commit to at that stage, read from its park's
-    shared table (`Instance.park`).  `score` and `schedule` share one
-    placement loop, so both apply the same greedy rule.
+    indices of the machines the job may commit to at that stage, read
+    from its park's shared table (`Instance.park`); `Park.later` gives the
+    stages each machine then holds the job for.  `score` and `schedule`
+    share one placement loop, so both apply the same greedy rule.
     """
 
     def __init__(self, instance: Instance):
         park = instance.park
         self._machine_ids = park.machine_ids
+        self._later = park.later
         self._jobs: Dict[str, _JobSteps] = {}
         for job in instance.jobs:
             stages = job.stages
@@ -100,35 +102,37 @@ class Decoder:
         is a list, appends (job id, stage, machine index, completion) to it
         for every placed stage.
         """
-        if len(order) != len(self._jobs) or set(order) != self._jobs.keys():
+        jobs, later = self._jobs, self._later
+        if len(order) != len(jobs) or set(order) != jobs.keys():
             raise DecodeError("order is not a permutation of the instance's jobs")
 
-        free = [0] * len(self._machine_ids)
+        free = [0] * len(later)
         ends = []
         for job_id in order:
-            job = self._jobs[job_id]
-            prev, steps = job.ready, job.steps
+            job = jobs[job_id]
+            prev = job.ready  # the job's last completion; its next stage starts then
             held, held_stages = -1, ()  # cluster the job is committed to
-            for stage, duration, options in steps:
+            for stage, duration, options in job.steps:
                 if stage in held_stages:
                     mk = held  # tool already held by this job
-                    start = prev
                 else:
                     mk = -1
-                    for k, later in options:
+                    for k in options:
                         t = free[k]
-                        if t < prev:
-                            t = prev
-                        if mk < 0 or t < start:
-                            mk, start, covered = k, t, later
-                            if t == prev:
-                                break  # nothing later in the list starts sooner
-                    if mk < 0:
-                        raise DecodeError(
-                            f"no eligible machine for job {job_id} stage {stage}")
+                        if t <= prev:
+                            mk = k
+                            break  # nothing later in the list starts sooner
+                        if mk < 0 or t < soonest:
+                            mk, soonest = k, t
+                    else:  # none is free: the first that frees soonest
+                        if mk < 0:
+                            raise DecodeError(
+                                f"no eligible machine for job {job_id} stage {stage}")
+                        prev = soonest
+                    covered = later[mk]
                     if covered:
                         held, held_stages = mk, covered
-                prev = start + duration
+                prev += duration
                 free[mk] = prev
                 if visits is not None:
                     visits.append((job_id, stage, mk, prev))

@@ -536,21 +536,22 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     # Assignment variables: one per candidate of the park's table, which
     # commits the job to the machine at that stage and to a cluster's
     # later covered stages too.  Per machine, the candidates taking it:
-    # (job index, entry stage, later covered stages).
+    # (job index, entry stage).
+    park = instance.park
     x_options: Dict[Visit, List[int]] = {(job.id, s): [] for job in jobs for s in job.stages}
-    takes: List[List[Tuple[int, int, Tuple[int, ...]]]] = [[] for _ in instance.machines]
+    takes: List[List[Tuple[int, int]]] = [[] for _ in instance.machines]
     for j, job in enumerate(jobs):
-        for s, options in zip(job.stages, instance.park.pattern(job.stages).candidates):
-            for k, later in options:
-                takes[k].append((j, s, later))
+        for s, options in zip(job.stages, park.pattern(job.stages).candidates):
+            for k in options:
+                takes[k].append((j, s))
     # Every reservation, and per machine (job id, "job_exit" tag,
     # reservation index) for each of its own.
     reservations: List[Tuple[int, int, int, int]] = []
     occupations: Dict[str, List[Tuple[str, str, int]]] = {}
     completion = C.tolist()
-    for machine, taken in zip(instance.machines, takes):
+    for machine, later, taken in zip(instance.machines, park.later, takes):
         occupations[machine.id] = occupied = []
-        for j, entry, later in taken:
+        for j, entry in taken:
             job = jobs[j]
             exit_stage = later[-1] if later else entry
             x = len(model.continuous) + len(model.binary)

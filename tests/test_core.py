@@ -72,6 +72,27 @@ def test_job_rejects_weight_below_one(weight):
         Job("J7", (40, 20, 75, 0, 30, 0), due=100, weight=weight)
 
 
+# Such jobs used to pass validation from the API: SP then died in
+# `sp_initial_order` on Fraction(1.5, 1), and a 20.5-minute coat was
+# scheduled and saved to a file that `load_instance` rejected.
+@pytest.mark.parametrize("key,kw", [
+    ("p", {"p": (0, 20.5, 75, 0, 30, 0)}),
+    ("p", {"p": (0, 20, 75, True, 30, 0)}),
+    ("p", {"p": (0, 20, 75, 0, 30.0, 0)}),
+    ("p", {"p": (0, "20", 75, 0, 30, 0)}),
+    ("r", {"ready": 12.7}),
+    ("r", {"ready": None}),
+    ("d", {"due": 1.5}),
+    ("d", {"due": False}),
+    ("w", {"weight": 2.0}),
+    ("w", {"weight": True}),
+])
+def test_job_rejects_times_and_weights_that_are_not_whole_numbers(key, kw):
+    kw.setdefault("p", (0, 20, 75, 0, 30, 0))
+    with pytest.raises(ValueError, match=f"job J1: {key} must be a whole number, got "):
+        Job("J1", **kw)
+
+
 def test_job_stage_helpers():
     job = make_job((40, 20, 75, 0, 30, 45))
     assert job.stages == (1, 2, 3, 5, 6)

@@ -117,6 +117,34 @@ def test_decode_ed_requires_individual_coat():
             assert inst.machine(sch.assign[(j.id, 2)]).tool_class == "C"
 
 
+def test_an_ed_hold_lasts_across_the_pre_develop_bake():
+    # Stage 5 has no candidate in this park's table (no individual
+    # developer): the lot must come back to ED1 after its oven visit, so
+    # picking B1 at stage 4 keeps the hold taken at stage 3.
+    machines = tuple(Machine(m, m[:-1]) for m in ("S1", "C1", "ED1", "B1"))
+    jobs = (Job("J1", (0, 20, 75, 45, 30, 0)), Job("J2", (40, 20, 75, 45, 30, 0)))
+    inst = Instance(jobs=jobs, machines=machines)
+    assert inst.park.pattern(jobs[0].stages).candidates[-1] == ()
+    sch, value = decode(inst, JobOrder(("J1", "J2")), Objective.CMAX)
+    for job in jobs:
+        assert (sch.assign[(job.id, 3)], sch.assign[(job.id, 4)],
+                sch.assign[(job.id, 5)]) == ("ED1", "B1", "ED1")
+    assert value == 320
+    assert check_feasibility(inst, sch) == []
+
+
+def test_the_first_free_candidate_wins_over_one_free_for_longer():
+    # When J3 reaches stage 3 at 120, E1 has been free since 50 and E2
+    # since 45: both can start it at once, and E1 comes first in the list.
+    machines = tuple(Machine(m, m[:-1]) for m in ("S1", "C1", "E1", "E2", "D1"))
+    jobs = (Job("J1", (0, 20, 30, 0, 30, 0)), Job("J2", (0, 20, 5, 0, 30, 0)),
+            Job("J3", (0, 20, 75, 0, 30, 0), ready=100))
+    inst = Instance(jobs=jobs, machines=machines)
+    sch, _ = decode(inst, JobOrder(("J1", "J2", "J3")), Objective.CMAX)
+    assert (sch.completion[("J1", 3)], sch.completion[("J2", 3)]) == (50, 45)
+    assert sch.assign[("J3", 3)] == "E1"
+
+
 def test_decode_always_feasible_randomized():
     rng = random.Random(99)
     for _ in range(60):

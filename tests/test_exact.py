@@ -338,7 +338,7 @@ def test_relaxation_reserves_the_park_tables_candidates():
     candidates = sorted(f"x_{s}_{ids[k]}_{job.id}" for job in jobs
                         for s, options in zip(job.stages,
                                               inst.park.pattern(job.stages).candidates)
-                        for k, _ in options)
+                        for k in options)
     truth = brute_force(inst)
     assert (truth[Objective.WCT], truth[Objective.CMAX]) == (335, 210)
     for kind in Objective:
