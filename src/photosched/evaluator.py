@@ -347,6 +347,8 @@ def load_schedule(path) -> Schedule:
             mid = rec["machine_id"]
             int(rec["start"])  # follows from completion; parsed so a malformed file raises
             c = int(rec["completion"])
+            if (job_id, stage) in assign:
+                raise ValueError(f"schedule: job {job_id} stage {stage} appears twice")
             assign[(job_id, stage)] = mid
             completion[(job_id, stage)] = c
     return Schedule(assign=assign, completion=completion)

@@ -12,7 +12,9 @@ resources may order the same two jobs differently (passing); only the
 relaxation's optima equal exhaustive enumeration.  When its optimum
 passes, the literal model is solved once more for an order-consistent
 schedule of equal value.  Both are solved with the HiGHS
-branch-and-bound backend behind scipy.
+branch-and-bound backend behind scipy, which this module imports only on
+its first HiGHS call (`milp`); building, exporting and checking models
+needs numpy alone.
 
 Before any model is built, `solve_exact` decodes SP's initial order; when
 that schedule meets the per-job lower bound (every job done at its ready
@@ -26,8 +28,6 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import (
     CLUSTER_BARS,
@@ -99,8 +99,8 @@ class MilpModel:
     Rows are added one family at a time as `Rows` blocks and keep that
     order.  Each family names its rows on demand, since only the LP text,
     `constraints` and a failed check read them.  `weights` holds the
-    objective by column.  `matrix` joins the blocks into one sparse
-    matrix, and `constraints` reads it back with variable names.
+    objective by column.  `joined` puts the blocks end to end, and
+    `constraints` reads them back with variable names.
     """
 
     name: str
@@ -155,22 +155,15 @@ class MilpModel:
                 np.concatenate([b.lower for b in blocks]),
                 np.concatenate([b.upper for b in blocks]))
 
-    def matrix(self):
-        """(A, lower, upper): the rows as a CSR matrix over the columns, each
-        row's terms in the order given, and the row bounds."""
-        cols, coefs, starts, lower, upper = self.joined()
-        A = sparse.csr_matrix((coefs, cols, np.append(starts, len(cols))),
-                              shape=(len(starts), len(self.continuous) + len(self.binary)))
-        A.eliminate_zeros()  # the padding
-        return A, lower, upper
-
     @property
     def constraints(self) -> Tuple[LinearRow, ...]:
         """The rows as `LinearRow`s with their terms sorted by variable name."""
-        A, lower, upper = self.matrix()
-        terms = list(zip(map(self.names.__getitem__, A.indices.tolist()),
-                         A.data.tolist()))
-        indptr = A.indptr.tolist()
+        cols, coefs, starts, lower, upper = self.joined()
+        keep = coefs != 0  # drop the padding
+        terms = list(zip(map(self.names.__getitem__, cols[keep].tolist()),
+                         coefs[keep].tolist()))
+        # Kept terms before each row's start, then the total.
+        indptr = np.append(0, np.cumsum(keep))[np.append(starts, len(cols))].tolist()
         rows = []
         for name, start, end, lo, up in zip(self.row_names, indptr, indptr[1:],
                                             lower.tolist(), upper.tolist()):
@@ -595,9 +588,22 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     return model
 
 
+def milp(**kwargs):
+    """`scipy.optimize.milp` (HiGHS), imported on the first call."""
+    from scipy.optimize import milp as highs
+    return highs(**kwargs)
+
+
 def _solve_model(model: MilpModel, time_limit: Optional[float]):
-    A, lower, upper = model.matrix()
-    n = A.shape[1]
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
+    cols, coefs, starts, lower, upper = model.joined()
+    n = len(model.continuous) + len(model.binary)
+    # The rows as a CSR matrix, each row's terms in the order given.
+    A = sparse.csr_matrix((coefs, cols, np.append(starts, len(cols))),
+                          shape=(len(starts), n))
+    A.eliminate_zeros()  # the padding
     c = np.zeros(n)
     c[list(model.weights)] = list(model.weights.values())
     # Binary columns follow the continuous ones.

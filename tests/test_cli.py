@@ -1,6 +1,10 @@
 """Command-line interface end-to-end flows."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -97,6 +101,67 @@ def test_evaluate_rejects_corrupt_schedule(instance_path, tmp_path, capsys):
     code, out, _ = run(capsys, "evaluate", str(sched), str(instance_path))
     assert code == 1
     assert "MissingAssign" in out
+
+
+def test_evaluate_rejects_a_repeated_visit(instance_path, tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    code, _, _ = run(capsys, "solve", str(instance_path), "--alg", "sp",
+                     "--iterations", "5", "--out-schedule", str(sched))
+    assert code == 0
+    header, *rows = sched.read_text().splitlines()
+    real = next(row for row in rows if row.startswith("J1,2,"))
+    extra = "J1,2,NOPE9," + real.split(",", 3)[3]  # same times, unknown machine
+    rows.insert(rows.index(real), extra)
+    sched.write_text("\n".join([header] + rows) + "\n")
+    for argv in (("evaluate", str(sched), str(instance_path)),
+                 ("gantt", str(sched), str(instance_path), "--out", str(tmp_path / "g.svg"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err == "error: schedule: job J1 stage 2 appears twice\n"
+
+
+# Runs in a fresh interpreter: the pytest configuration's OptimizeWarning
+# filter imports scipy into the test process itself.
+WITHOUT_SCIPY = textwrap.dedent("""
+    import sys
+    from photosched import cli
+    from photosched.core import Instance, Job, Machine, Objective, load_instance
+    from photosched.evaluator import load_schedule
+    from photosched.exact import (OPTIMAL, check_values, export_milp,
+                                  schedule_to_values, solve_exact)
+
+    for argv in (["generate", "--n", "3", "--equipment", "2", "--seed", "5",
+                  "--out", "inst.json"],
+                 ["solve", "inst.json", "--alg", "ga", "--out-schedule", "ga.csv"],
+                 ["solve", "inst.json", "--alg", "sp", "--iterations", "20",
+                  "--out-schedule", "sp.csv"],
+                 ["evaluate", "sp.csv", "inst.json"],
+                 ["gantt", "sp.csv", "inst.json", "--out", "sp.svg"],
+                 ["export-lp", "inst.json", "--out", "model.lp"]):
+        assert cli.dispatch(argv) == 0, argv
+    assert open("model.lp").read().endswith("End\\n")
+    instance, schedule = load_instance("inst.json"), load_schedule("sp.csv")
+    for kind in Objective:
+        model = export_milp(instance, kind)
+        assert check_values(model, schedule_to_values(instance, schedule, model)) == []
+    assert "scipy" not in sys.modules, "a light path imported scipy"
+
+    # Two jobs on one machine per stage: one waits, so the per-job bound
+    # is missed and HiGHS runs.
+    jobs = (Job("J1", (0, 20, 75, 0, 30, 0)), Job("J2", (0, 20, 75, 0, 30, 0)))
+    machines = tuple(Machine(f"{cls}1", cls) for cls in "SCED")
+    result = solve_exact(Instance(jobs=jobs, machines=machines), Objective.CMAX)
+    assert "scipy" in sys.modules, "HiGHS ran without scipy"
+    assert (result.status, result.value) == (OPTIMAL, 200)
+""")
+
+
+def test_heuristic_file_and_lp_paths_load_no_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_export_lp(instance_path, tmp_path, capsys):

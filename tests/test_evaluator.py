@@ -270,6 +270,15 @@ def test_schedule_file_round_trip(tmp_path):
     assert check_feasibility(inst, again) == []
 
 
+def test_load_schedule_rejects_a_repeated_visit(tmp_path):
+    # Before, the later row silently replaced the earlier one.
+    path = tmp_path / "sched.csv"
+    path.write_text("job_id,stage,machine_id,start,completion\n"
+                    "J1,2,NOPE9,0,20\nJ1,2,C1,0,20\n")
+    with pytest.raises(ValueError, match="job J1 stage 2 appears twice"):
+        load_schedule(path)
+
+
 def test_load_schedule_rejects_a_malformed_start(tmp_path):
     # The start column follows from completion but is still parsed.
     path = tmp_path / "sched.csv"

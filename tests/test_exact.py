@@ -292,6 +292,36 @@ def test_constraints_list_every_row_with_terms_sorted_by_name(build, n, mc):
             assert all(coeff != 0 for _, coeff in row.coeffs)
 
 
+def _csr_constraints(model):
+    """Reference for `model.constraints`: the joined rows through a CSR
+    matrix, whose `eliminate_zeros` drops the padding."""
+    cols, coefs, starts, lower, upper = model.joined()
+    A = sparse.csr_matrix((coefs, cols, np.append(starts, len(cols))),
+                          shape=(len(starts), len(model.names)))
+    A.eliminate_zeros()
+    rows = []
+    for i, name in enumerate(model.row_names):
+        span = slice(A.indptr[i], A.indptr[i + 1])
+        coeffs = tuple(sorted(zip((model.names[k] for k in A.indices[span]),
+                                  A.data[span].tolist())))
+        lo, up = float(lower[i]), float(upper[i])
+        sense = "=" if lo == up else (">=" if up == np.inf else "<=")
+        rows.append(exact.LinearRow(name, coeffs, sense, up if lo == -np.inf else lo))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("build", [export_milp, exact._disjunctive_model])
+@pytest.mark.parametrize("ready", list(ReadyScenario))
+@pytest.mark.parametrize("mc", [1, 2])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_constraints_equal_a_csr_reference(build, ready, mc, n):
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ready, equipment=mc,
+                                       seed=10 * n + mc))
+    for kind in Objective:
+        model = build(inst, kind)
+        assert model.constraints == _csr_constraints(model)
+
+
 def test_lp_output_shape():
     inst = generate_instance(GenConfig(n=2, equipment=2, seed=0))
     model = export_milp(inst, Objective.TWT)
