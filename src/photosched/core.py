@@ -145,6 +145,9 @@ class Instance:
                 if not (isinstance(i, str) and i.isascii() and i.isalnum()):
                     raise ValueError(
                         f"{what} id {i!r} must be made only of ASCII letters and digits")
+        # The LP text writes the label as its one comment line.
+        if not (isinstance(self.label, str) and self.label.splitlines() in ([], [self.label])):
+            raise ValueError(f"label {self.label!r} must be a string without line breaks")
         if len(set(jids)) != len(jids):
             raise ValueError("duplicate job ids")
         if len(set(mids)) != len(mids):

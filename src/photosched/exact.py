@@ -99,8 +99,8 @@ class MilpModel:
     Rows are added one family at a time as `Rows` blocks and keep that
     order.  Each family names its rows on demand, since only the LP text,
     `constraints` and a failed check read them.  `weights` holds the
-    objective by column.  `joined` puts the blocks end to end, and
-    `constraints` reads them back with variable names.
+    objective by column (`_add_objective_link` sets it).  `joined` puts the
+    blocks end to end, and `constraints` reads them back with variable names.
     """
 
     name: str
@@ -241,13 +241,17 @@ def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
 
 
 def _add_objective_link(model: MilpModel, jobs, last, cmax, tardy) -> None:
-    """CMAX >= C (cmax) or T >= C - due (twt), C the jobs' completion columns
-    `last`, and `cmax` or `tardy` the CMAX column or the jobs' T columns."""
+    """Weight CMAX (cmax), the jobs' completion columns `last` (wct) or T columns `tardy`
+    (twt) in the objective; add the rows CMAX >= C (cmax) or T >= C - due (twt)."""
+    weights = [float(j.weight) for j in jobs]
     if model.kind == Objective.CMAX:
+        model.weights[cmax] = 1.0
         prefix, top, rhs = "cmax_link_", cmax, 0
     elif model.kind == Objective.TWT:
+        model.weights.update(zip(np.ravel(tardy).tolist(), weights))
         prefix, top, rhs = "tardy_", tardy, [-j.due for j in jobs]
     else:
+        model.weights.update(zip(np.ravel(last).tolist(), weights))
         return
     cols = np.empty((len(jobs), 2), np.int64)
     cols[:, 0] = top
@@ -294,14 +298,6 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
     pair_tags = [f"{ids[k]}_{ids[l]}" for k, l in pairs]
     model.binary = (_names([(_xvar(s, mid, ""),) for s, mid in slots], ids)
                     + [_yvar(ids[k], ids[l]) for k, l in pairs])
-
-    weights = [float(j.weight) for j in jobs]
-    if kind == Objective.CMAX:
-        model.weights = {cmax: 1.0}
-    elif kind == Objective.WCT:
-        model.weights = dict(zip(C[:, -1].tolist(), weights))
-    else:
-        model.weights = dict(zip(tardy.tolist(), weights))
 
     _add_chain(model, ids, STAGES, C, p, [job.ready for job in jobs])
 
@@ -518,13 +514,8 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     tardy = cmax + np.arange(len(jobs))
     if kind == Objective.CMAX:
         model.continuous.append("CMAX")
-        model.weights = {cmax: 1.0}
-    elif kind == Objective.WCT:
-        model.weights = {int(C[j, job.stages[-1] - 1]): float(job.weight)
-                         for j, job in enumerate(jobs)}
-    else:
+    elif kind == Objective.TWT:
         model.continuous += [f"T_{job.id}" for job in jobs]
-        model.weights = dict(zip(tardy.tolist(), (float(job.weight) for job in jobs)))
 
     # Assignment variables: one per candidate of the park's table, which
     # commits the job to the machine at that stage and to a cluster's
@@ -625,8 +616,13 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
     return res.status, values
 
 
-def _schedule_from_values(instance: Instance,
-                          values: Dict[str, float]) -> Schedule:
+def _solve(instance: Instance, model: MilpModel,
+           time_limit: Optional[float]) -> Tuple[int, Optional[Schedule]]:
+    """HiGHS's status on `model`, and its solution's machine orders re-timed
+    in integer minutes as a schedule (None without a solution)."""
+    status, values = _solve_model(model, time_limit)
+    if values is None:
+        return status, None
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, float] = {}
     for name, val in values.items():
@@ -641,9 +637,8 @@ def _schedule_from_values(instance: Instance,
         for cov in stages:
             assign[(job_id, cov)] = mid
             completion[(job_id, cov)] = values[_cvar(cov, job_id)]
-    # The solution's machine orders, re-timed in integer minutes.
-    return earliest_completion(instance, assign,
-                               Schedule(assign, completion).sequences)
+    return status, earliest_completion(instance, assign,
+                                       Schedule(assign, completion).sequences)
 
 
 def solve_exact(instance: Instance, kind: Objective,
@@ -687,38 +682,21 @@ def solve_exact(instance: Instance, kind: Objective,
 
     # The first model is freed before a re-solve builds the larger literal one.
     try:
-        status, values = _solve_model(_disjunctive_model(instance, kind), time_limit)
+        status, schedule = _solve(instance, _disjunctive_model(instance, kind), time_limit)
     except SolverError:  # HiGHS can fail on the relaxation alone
-        status, values = _solve_model(export_milp(instance, kind), left())
+        status, schedule = _solve(instance, export_milp(instance, kind), left())
+    outcome = {0: OPTIMAL, 1: TIMED_OUT, 2: INFEASIBLE}[status]
+    if status == 2 or schedule is None:  # infeasible, or out of time with no incumbent
+        return ExactResult(schedule=None, value=None, status=outcome)
+    value = objective_value(instance, schedule, kind)
     if status == 0:
-        schedule = _schedule_from_values(instance, values)
-        value = objective_value(instance, schedule, kind)
         try:
             _pair_orders(instance, schedule)
-        except ValueError:
-            consistent = _solve_consistent(instance, kind, left(), value)
-            if consistent is not None:
+        except ValueError:  # passing: look for an order-consistent optimum
+            try:
+                again, consistent = _solve(instance, export_milp(instance, kind), left())
+            except SolverError:  # the first solve's optimum stands
+                again = None
+            if again == 0 and objective_value(instance, consistent, kind) == value:
                 schedule = consistent
-        return ExactResult(schedule=schedule, value=value, status=OPTIMAL)
-    if status == 2:
-        return ExactResult(schedule=None, value=None, status=INFEASIBLE)
-    if values is not None:
-        schedule = _schedule_from_values(instance, values)
-        value = objective_value(instance, schedule, kind)
-        return ExactResult(schedule=schedule, value=value, status=TIMED_OUT)
-    return ExactResult(schedule=None, value=None, status=TIMED_OUT)
-
-
-def _solve_consistent(instance: Instance, kind: Objective,
-                      time_limit: Optional[float],
-                      target: int) -> Optional[Schedule]:
-    try:
-        status, values = _solve_model(export_milp(instance, kind), time_limit)
-    except SolverError:  # the first solve's optimum stands
-        return None
-    if status != 0 or values is None:
-        return None
-    schedule = _schedule_from_values(instance, values)
-    if objective_value(instance, schedule, kind) == target:
-        return schedule
-    return None
+    return ExactResult(schedule=schedule, value=value, status=outcome)

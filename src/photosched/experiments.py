@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .core import Instance, Objective
+from .core import Objective
 from .exact import OPTIMAL, TIMED_OUT, SolverError, solve_exact
 from .instgen import GenConfig, ReadyScenario, generate_instance
 from .search import GAConfig, SPConfig, run_ga, run_sp
@@ -80,54 +80,43 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
     if not (isinstance(replications, numbers.Integral) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
     records: List[ExperimentRecord] = []
-    cells = list(itertools.product(grid["n"], grid["ready"], grid["T"],
-                                   grid["R"], grid["equipment"]))
-    for (n, ready, T, R, mc) in cells:
-        for rep in range(1, replications + 1):
-            seed = derive_seed(master_seed, n, ready, T, R, mc, rep)
-            config = GenConfig(n=n, ready_scenario=ReadyScenario(ready),
-                               T=T, R=R, equipment=mc, seed=seed)
-            instance = generate_instance(config)
-            for kind in objectives:
-                records.append(
-                    _run_one(instance, kind, n, ready, T, R, mc, rep,
-                             master_seed, exact_time_limit, sp_iterations,
-                             ga, run_exact))
-    return records
+    cells = itertools.product(grid["n"], grid["ready"], grid["T"], grid["R"],
+                              grid["equipment"])
+    for cell, rep in itertools.product(cells, range(1, replications + 1)):
+        n, ready, T, R, mc = cell
+        seed = derive_seed(master_seed, *cell, rep)
+        config = GenConfig(n=n, ready_scenario=ReadyScenario(ready),
+                           T=T, R=R, equipment=mc, seed=seed)
+        instance = generate_instance(config)
+        for kind in objectives:
+            runtimes = {}
+            solver_seed = derive_seed(master_seed, *cell, rep, kind.value)
 
+            t0 = time.perf_counter()
+            _, of_sp, _ = run_sp(instance, kind,
+                                 SPConfig(max_iterations=sp_iterations, seed=solver_seed))
+            runtimes["sp"] = time.perf_counter() - t0
 
-def _run_one(instance: Instance, kind: Objective, n, ready, T, R, mc, rep,
-             master_seed, exact_time_limit, sp_iterations, ga,
-             run_exact) -> ExperimentRecord:
-    runtimes = {}
-    solver_seed = derive_seed(master_seed, n, ready, T, R, mc, rep, kind.value)
+            t0 = time.perf_counter()
+            _, of_ga, _ = run_ga(instance, kind, replace(ga or GAConfig(), seed=solver_seed))
+            runtimes["ga"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    _, of_sp, _ = run_sp(instance, kind,
-                         SPConfig(max_iterations=sp_iterations, seed=solver_seed))
-    runtimes["sp"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _, of_ga, _ = run_ga(instance, kind,
-                         replace(ga or GAConfig(), seed=solver_seed))
-    runtimes["ga"] = time.perf_counter() - t0
-
-    of_exact = None
-    status = FAILED
-    if run_exact:
-        t0 = time.perf_counter()
-        try:
-            result = solve_exact(instance, kind, time_limit=exact_time_limit)
-            of_exact = result.value
-            status = result.status
-        except SolverError:
+            of_exact = None
             status = FAILED
-        runtimes["exact"] = time.perf_counter() - t0
+            if run_exact:
+                t0 = time.perf_counter()
+                try:
+                    result = solve_exact(instance, kind, time_limit=exact_time_limit)
+                    of_exact = result.value
+                    status = result.status
+                except SolverError:
+                    status = FAILED
+                runtimes["exact"] = time.perf_counter() - t0
 
-    return ExperimentRecord(n=n, ready=ready, T=T, R=R, mc=mc, rep=rep,
-                            objective=kind.value, of_sp=of_sp, of_ga=of_ga,
-                            of_exact=of_exact, exact_status=status,
-                            runtimes=runtimes)
+            records.append(ExperimentRecord(
+                *cell, rep=rep, objective=kind.value, of_sp=of_sp, of_ga=of_ga,
+                of_exact=of_exact, exact_status=status, runtimes=runtimes))
+    return records
 
 
 def _ratio(record: ExperimentRecord, status: str, solver: str) -> Optional[float]:

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from .core import Instance, Job, Machine, TOOL_STAGES
 
-# Processing-time design: (always-on time, optional time, probability on).
+# Processing-time design per stage: (time, probability a job needs it).
 STAGE_TIMES = {
     1: (40, 0.8),
     2: (20, 1.0),
@@ -28,9 +28,8 @@ STAGE_TIMES = {
 }
 
 BOTTLENECK_STAGE = 3
-BOTTLENECK_TIME = 75
-# Sum of the maximal times of the non-bottleneck stages.
-NON_BOTTLENECK_TIME = 40 + 20 + 45 + 30 + 45
+BOTTLENECK_TIME = STAGE_TIMES[BOTTLENECK_STAGE][0]
+NON_BOTTLENECK_TIME = sum(t for s, (t, _) in STAGE_TIMES.items() if s != BOTTLENECK_STAGE)
 
 # Machine counts per tool class for the two equipment levels.
 EQUIPMENT_COUNTS = {

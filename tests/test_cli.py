@@ -395,3 +395,13 @@ def test_commands_reject_an_instance_without_jobs(instance_path, capsys, argv):
     code, out, err = run(capsys, argv[0], str(instance_path), *argv[1:])
     assert code == 1 and out == ""
     assert err == "error: instance has no jobs\n"
+
+
+# A line break in the label used to reach the LP text's comment line.
+def test_export_lp_rejects_a_label_with_a_line_break(instance_path, capsys):
+    data = json.loads(instance_path.read_text())
+    data["label"] = "demo\nEnd\nx"
+    instance_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "export-lp", str(instance_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "label" in err

@@ -135,6 +135,18 @@ def test_instance_rejects_machine_ids_not_letters_and_digits():
         Instance(jobs=(make_job((40, 20, 75, 45, 30, 45)),), machines=machines)
 
 
+# The label is the LP file's comment line: a line break in it wrote an
+# `End` line ahead of `Minimize`, where an LP reader stops.
+@pytest.mark.parametrize("label", ["demo\nEnd\nx", "a\r\nb", "one\n", "a\x0bb",
+                                   "a\u2028b", 7, None])
+def test_instance_rejects_a_label_that_is_not_one_line_of_text(label):
+    data = instance_to_dict(Instance(jobs=(make_job((40, 20, 75, 0, 30, 0)),),
+                                     machines=tuple(equipment(2))))
+    data["label"] = label
+    with pytest.raises(ValueError, match="label"):
+        instance_from_dict(data)
+
+
 def test_eligible_machines_per_stage():
     inst = Instance(jobs=(make_job((40, 20, 75, 45, 30, 45)),),
                     machines=tuple(equipment(1)))

@@ -375,8 +375,7 @@ def test_relaxation_reserves_the_park_tables_candidates():
         model = exact._disjunctive_model(inst, kind)
         assert sorted(v for v in model.binary if v.startswith("x_")) == candidates
         assert model.counts[2] == 9
-        status, values = exact._solve_model(model, None)
-        schedule = exact._schedule_from_values(inst, values)
+        status, schedule = exact._solve(inst, model, None)
         assert status == 0 and check_feasibility(inst, schedule) == []
         assert objective_value(inst, schedule, kind) == truth[kind]
 
@@ -589,3 +588,46 @@ def test_resolve_gets_no_time_once_the_limit_is_spent(monkeypatch):
     assert [lim for _, lim in calls] == [1e-6, 0.0]
     assert (result.status, result.value) == (OPTIMAL, 510)
     assert check_feasibility(passing_instance(), result.schedule) == []
+
+
+def test_a_failed_resolve_keeps_the_first_optimum(monkeypatch):
+    calls = []
+    solve_model = exact._solve_model
+
+    def fail_second(model, time_limit):
+        calls.append(model)
+        if len(calls) == 2:
+            raise SolverError("HiGHS status 4: injected")
+        return solve_model(model, time_limit)
+
+    monkeypatch.setattr(exact, "_solve_model", fail_second)
+    inst = passing_instance()
+    result = solve_exact(inst, Objective.CMAX)
+    assert (result.status, result.value) == (OPTIMAL, 270)
+    assert check_feasibility(inst, result.schedule) == []
+    assert len(calls) == 2
+
+
+def test_a_timed_out_first_solve_reports_its_incumbent_without_resolving(monkeypatch):
+    calls = []
+    solve_model = exact._solve_model
+
+    def time_out(model, time_limit):
+        calls.append(model)
+        _, values = solve_model(model, time_limit)
+        return 1, values  # the limit struck, with the solution as incumbent
+
+    monkeypatch.setattr(exact, "_solve_model", time_out)
+    inst = passing_instance()
+    result = solve_exact(inst, Objective.CMAX, time_limit=60)
+    assert result.status == TIMED_OUT
+    assert check_feasibility(inst, result.schedule) == []
+    assert result.value == objective_value(inst, result.schedule, Objective.CMAX)
+    assert len(calls) == 1
+
+
+def test_a_timed_out_first_solve_without_incumbent_reports_none(monkeypatch):
+    calls = _fake_milp(monkeypatch, SimpleNamespace(status=1, message="time limit", x=None))
+    result = solve_exact(passing_instance(), Objective.CMAX, time_limit=1)
+    assert (result.status, result.schedule, result.value) == (TIMED_OUT, None, None)
+    assert len(calls) == 1
