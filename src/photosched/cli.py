@@ -153,6 +153,7 @@ def _cmd_export_lp(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    grid = {}
     if args.grid:
         with open(args.grid) as fh:
             grid = json.load(fh)
@@ -164,24 +165,19 @@ def _cmd_experiment(args) -> int:
         for key, value in grid.items():
             if key != "replications" and not (isinstance(value, list) and value):
                 raise ValueError(f"{args.grid}: grid key '{key}' must be a non-empty list")
-    else:
-        grid = dict(DEFAULT_GRID)
+    grid = {**DEFAULT_GRID, **grid}
     objectives = [Objective(v) for v in grid.pop("objectives", ["cmax", "wct", "twt"])]
     replications = grid.pop("replications", args.replications)
-    for key in ("n", "ready", "T", "R", "equipment"):
-        grid.setdefault(key, DEFAULT_GRID[key])
     os.makedirs(args.out, exist_ok=True)
     records = run_grid(grid, objectives, replications, args.seed,
                        exact_time_limit=args.time_limit,
                        run_exact=not args.no_exact)
     save_records(records, os.path.join(args.out, "records.csv"))
     save_timings(records, os.path.join(args.out, "timings.csv"))
-    summary = format_summary(records, grid["n"], ratio="pr")
-    with open(os.path.join(args.out, "summary_pr.txt"), "w") as fh:
-        fh.write(summary + "\n")
-    hr = format_summary(records, grid["n"], ratio="hr")
-    with open(os.path.join(args.out, "summary_hr.txt"), "w") as fh:
-        fh.write(hr + "\n")
+    for ratio in ("hr", "pr"):
+        summary = format_summary(records, grid["n"], ratio=ratio)
+        with open(os.path.join(args.out, f"summary_{ratio}.txt"), "w") as fh:
+            fh.write(summary + "\n")
     print(summary)
     return 0
 

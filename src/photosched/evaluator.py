@@ -189,7 +189,13 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
     assign = schedule.assign
     known_machines = {m.id for m in instance.machines}
 
-    # Assignment structure: present exactly where p > 0, machine eligible.
+    # Assignment structure: every assigned visit belongs to the instance, and
+    # visits are present exactly where p > 0, machine eligible.
+    job_ids = {job.id for job in instance.jobs}
+    for job_id, s in assign:
+        if job_id not in job_ids or s not in STAGES:
+            out.append(Violation("ForbiddenAssign",
+                                 f"job {job_id} stage {s} is no visit of the instance"))
     for job in instance.jobs:
         for s in STAGES:
             v = (job.id, s)
@@ -214,20 +220,19 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
         if "MissingAssign" in structural:
             return out
 
-    # Ready times and stage chaining.
+    # Ready times and stage chaining; prev_s == 0 before the first needed stage.
     for job in instance.jobs:
-        prev_c = job.ready
-        first = True
+        prev_s, prev_c = 0, job.ready
         for s in job.stages:
             c = schedule.completion[(job.id, s)]
-            if first and c < job.duration(s) + job.ready:
-                out.append(Violation("ReadyTime",
-                                     f"job {job.id} stage {s} starts before ready time {job.ready}"))
-            if not first and c - prev_c < job.duration(s):
-                out.append(Violation("StageChain",
-                                     f"job {job.id} stage {s} overlaps its stage-{_prev_stage(job, s)} work"))
-            prev_c = c
-            first = False
+            if c - prev_c < job.duration(s):
+                if prev_s == 0:
+                    out.append(Violation("ReadyTime",
+                                         f"job {job.id} stage {s} starts before ready time {job.ready}"))
+                else:
+                    out.append(Violation("StageChain",
+                                         f"job {job.id} stage {s} overlaps its stage-{prev_s} work"))
+            prev_s, prev_c = s, c
 
     # Cluster routing rules.
     for job in instance.jobs:
@@ -277,15 +282,6 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
     return out
 
 
-def _prev_stage(job: Job, stage: int) -> int:
-    prev = 0
-    for s in job.stages:
-        if s == stage:
-            return prev
-        prev = s
-    return prev
-
-
 # ---------------------------------------------------------------------------
 # Objectives
 
@@ -326,9 +322,8 @@ def objective_value(instance: Instance, schedule: Schedule, kind: Objective) -> 
 def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
     rows = []
     for (job_id, stage), mid in schedule.assign.items():
-        c = schedule.completion[(job_id, stage)]
-        s = c - instance.job(job_id).duration(stage)
-        rows.append((mid, s, job_id, stage, c))
+        rows.append((mid, schedule.start(instance, job_id, stage), job_id, stage,
+                     schedule.completion[(job_id, stage)]))
     rows.sort()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

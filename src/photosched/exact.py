@@ -43,8 +43,8 @@ from .decoder import decoder_for
 from .evaluator import (
     Schedule,
     Visit,
-    completion_objective,
     earliest_completion,
+    metrics,
     objective_value,
     timelines,
 )
@@ -400,18 +400,8 @@ def _num(x: float) -> str:
 
 
 def _lp_terms(coeffs) -> str:
-    parts = []
-    for var, c in coeffs:
-        if c >= 0:
-            parts.append(f"+ {_num(c)} {var}")
-        else:
-            parts.append(f"- {_num(-c)} {var}")
-    if not parts:
-        return "0"
-    first = parts[0]
-    if first.startswith("+ "):
-        first = first[2:]
-    return " ".join([first] + parts[1:])
+    return " ".join(f"{'-' if c < 0 else '+'} {_num(abs(c))} {var}"
+                    for var, c in coeffs).removeprefix("+ ") or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +414,14 @@ def schedule_to_values(instance: Instance, schedule: Schedule,
     Raises ValueError when no single precedence orientation per job pair
     is consistent with every shared machine.
     """
-    values = {v: 0.0 for v in model.continuous}
-    values.update({v: 0.0 for v in model.binary})
-
-    # A skipped stage carries the previous completion (the ready time
-    # before stage 1) forward.
-    ends = []
+    values = dict.fromkeys(model.names, 0.0)
     for job in instance.jobs:
-        c = job.ready
         for s in STAGES:
-            if job.needs(s):
-                c = schedule.completion[(job.id, s)]
-            values[_cvar(s, job.id)] = float(c)
-        ends.append((job, c))
-    values["CMAX"] = float(completion_objective(ends, Objective.CMAX))
+            values[_cvar(s, job.id)] = float(schedule.completion_through(instance, job.id, s))
+    scores = metrics(instance, schedule)
+    values["CMAX"] = float(scores.cmax)
     if model.kind == Objective.TWT:
-        for job, c in ends:
-            values[f"T_{job.id}"] = float(max(0, c - job.due))
+        values.update((f"T_{job_id}", float(t)) for job_id, t in scores.tardiness.items())
 
     for (job_id, s), mid in schedule.assign.items():
         name = _xvar(s, mid, job_id)

@@ -210,19 +210,15 @@ def save_records(records: List[ExperimentRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow([r.n, r.ready, r.T, r.R, r.mc, r.rep, r.objective,
-                             r.of_sp, r.of_ga,
-                             "" if r.of_exact is None else r.of_exact,
-                             r.exact_status])
+            writer.writerow([getattr(r, f) for f in RECORD_FIELDS])
 
 
 def save_timings(records: List[ExperimentRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "ready", "T", "R", "mc", "rep", "objective",
-                         "solver", "seconds"])
+        writer.writerow(RECORD_FIELDS[:7] + ["solver", "seconds"])
         for r in records:
+            key = [getattr(r, f) for f in RECORD_FIELDS[:7]]
             for solver, seconds in sorted(r.runtimes.items()):
-                writer.writerow([r.n, r.ready, r.T, r.R, r.mc, r.rep,
-                                 r.objective, solver, f"{seconds:.3f}"])
+                writer.writerow(key + [solver, f"{seconds:.3f}"])
 

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from photosched import exact
+from photosched import cli, exact
 from photosched.cli import dispatch
 from photosched.core import Objective, load_instance
 from photosched.decoder import Decoder
+from photosched.exact import OPTIMAL, TIMED_OUT
+from photosched.experiments import ExperimentRecord, format_summary
 from photosched.instgen import equipment
 
 
@@ -120,6 +122,21 @@ def test_evaluate_rejects_a_repeated_visit(instance_path, tmp_path, capsys):
         assert out == "" and err == "error: schedule: job J1 stage 2 appears twice\n"
 
 
+@pytest.mark.parametrize("row", ["J1,7,B1,100,145", "J1,0,S1,0,40", "J9,2,C1,0,20"])
+def test_evaluate_reports_a_visit_outside_the_instance(tmp_path, capsys, row):
+    # Before, these ended in an IndexError traceback, a MachineOverlap
+    # that read stage 0 as stage 6, or "error: 'J9'".
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.csv"
+    run(capsys, "generate", "--n", "2", "--equipment", "2", "--seed", "1", "--out", str(inst))
+    code, _, _ = run(capsys, "solve", str(inst), "--alg", "sp", "--out-schedule", str(sched))
+    assert code == 0
+    sched.write_text(sched.read_text() + row + "\n")
+    job_id, stage = row.split(",")[:2]
+    line = f"ForbiddenAssign: job {job_id} stage {stage} is no visit of the instance\n"
+    assert run(capsys, "evaluate", str(sched), str(inst)) == (1, line, "")
+    assert run(capsys, "gantt", str(sched), str(inst), "--out", str(tmp_path / "g.svg")) == (1, "", line)
+
+
 # Runs in a fresh interpreter: the pytest configuration's OptimizeWarning
 # filter imports scipy into the test process itself.
 WITHOUT_SCIPY = textwrap.dedent("""
@@ -204,6 +221,24 @@ def test_experiment_command(tmp_path, capsys):
     records = (out_dir / "records.csv").read_text().splitlines()
     assert records[0] == "n,ready,T,R,mc,rep,objective,of_sp,of_ga,of_exact,exact_status"
     assert len(records) == 3  # header + 1 cell x 2 replications x 1 objective
+
+
+def test_experiment_writes_both_summaries_and_prints_pr(tmp_path, capsys, monkeypatch):
+    records = [ExperimentRecord(5, "zero", 0.3, 0.5, 1, 1, "cmax", 120, 110, 100, OPTIMAL),
+               ExperimentRecord(5, "mixed", 0.6, 2.5, 2, 1, "cmax", 130, 125, 100, TIMED_OUT)]
+    monkeypatch.setattr(cli, "run_grid", lambda *args, **kwargs: records)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": [5], "objectives": ["cmax"]}))
+    out_dir = tmp_path / "exp"
+    code, out, _ = run(capsys, "experiment", "--grid", str(grid), "--out", str(out_dir),
+                       "--seed", "1")
+    assert code == 0
+    pr = format_summary(records, [5], ratio="pr")
+    hr = format_summary(records, [5], ratio="hr")
+    assert pr != hr
+    assert (out_dir / "summary_pr.txt").read_text() == pr + "\n"
+    assert (out_dir / "summary_hr.txt").read_text() == hr + "\n"
+    assert out == pr + "\n"
 
 
 def test_experiment_rejects_invalid_time_limit(tmp_path, capsys):

@@ -6,6 +6,7 @@ from photosched.core import Instance, Job, Objective
 from photosched.evaluator import (
     CyclicSequenceError,
     Schedule,
+    Violation,
     check_feasibility,
     earliest_completion,
     load_schedule,
@@ -190,6 +191,38 @@ def test_stage_chain_violation_flagged():
     inst, sch = _feasible_base()
     sch.completion[("J1", 5)] = sch.completion[("J1", 3)] + 10
     assert "StageChain" in violation_ids(inst, sch)
+
+
+def test_ready_violation_names_the_first_needed_stage():
+    inst = one_job_instance(p=(0, 20, 75, 0, 30, 0), ready=50)
+    assign = {("J1", 2): "C1", ("J1", 3): "E1", ("J1", 5): "D1"}
+    sch = timed(inst, assign)
+    sch.completion[("J1", 2)] = 60  # stage 1 is skipped; stage 2 starts at 40
+    assert check_feasibility(inst, sch) == [
+        Violation("ReadyTime", "job J1 stage 2 starts before ready time 50")]
+
+
+def test_stage_chain_names_the_previous_needed_stage():
+    inst = one_job_instance(p=(40, 20, 75, 0, 30, 45))
+    assign = {("J1", 1): "S1", ("J1", 2): "C1", ("J1", 3): "E1",
+              ("J1", 5): "D1", ("J1", 6): "B1"}
+    sch = timed(inst, assign)
+    sch.completion[("J1", 5)] = sch.completion[("J1", 3)] + 10  # no stage 4
+    assert check_feasibility(inst, sch) == [
+        Violation("StageChain", "job J1 stage 5 overlaps its stage-3 work")]
+
+
+@pytest.mark.parametrize("visit,mid,c", [(("J1", 7), "B1", 145),
+                                         (("J1", 0), "S1", 40),
+                                         (("J9", 2), "C1", 20)])
+def test_visit_outside_the_instance_flagged(visit, mid, c):
+    # Before, these raised IndexError or KeyError, or stage 0 was read as
+    # stage 6.
+    inst, sch = _feasible_base()
+    sch.assign[visit] = mid
+    sch.completion[visit] = c
+    assert check_feasibility(inst, sch) == [
+        Violation("ForbiddenAssign", f"job {visit[0]} stage {visit[1]} is no visit of the instance")]
 
 
 def test_machine_overlap_flagged():

@@ -128,6 +128,17 @@ def test_record_files_round_trip(tmp_path):
     assert len(timing_lines) == 1 + 3 * len(records)
 
 
+def test_timings_rows_carry_the_record_key(tmp_path):
+    records = [record(n=3, ready="mixed", T=0.6, R=2.5, mc=2, rep=4, objective="twt",
+                      runtimes={"sp": 0.25, "ga": 1.5}),
+               record(runtimes={"exact": 0.125})]
+    save_timings(records, tmp_path / "timings.csv")
+    assert (tmp_path / "timings.csv").read_text().splitlines()[1:] == [
+        "3,mixed,0.6,2.5,2,4,twt,ga,1.500",
+        "3,mixed,0.6,2.5,2,4,twt,sp,0.250",
+        "5,zero,0.3,0.5,1,1,cmax,exact,0.125"]
+
+
 def test_format_summary_layout():
     records = [record(), record(objective="twt", of_exact=0)]
     text = format_summary(records, [5])
