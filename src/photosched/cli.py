@@ -124,15 +124,20 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _load_feasible(args, stream):
+    """`args`' instance and schedule; None once each violation is printed to `stream`."""
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     violations = check_feasibility(instance, schedule)
-    if violations:
-        for v in violations:
-            print(f"{v.constraint_id}: {v.detail}")
+    for v in violations:
+        print(f"{v.constraint_id}: {v.detail}", file=stream)
+    return None if violations else (instance, schedule)
+
+
+def _cmd_evaluate(args) -> int:
+    if not (loaded := _load_feasible(args, sys.stdout)):
         return 1
-    m = metrics(instance, schedule)
+    m = metrics(*loaded)
     print(f"feasible cmax={m.cmax} wct={m.wct} twt={m.twt}")
     return 0
 
@@ -183,15 +188,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gantt(args) -> int:
-    instance = load_instance(args.instance)
-    schedule = load_schedule(args.schedule)
-    violations = check_feasibility(instance, schedule)
-    if violations:
-        for v in violations:
-            print(f"{v.constraint_id}: {v.detail}", file=sys.stderr)
+    if not (loaded := _load_feasible(args, sys.stderr)):
         return 1
     with open(args.out, "w") as fh:
-        fh.write(render_gantt(instance, schedule))
+        fh.write(render_gantt(*loaded))
     print(f"wrote {args.out}")
     return 0
 

@@ -35,6 +35,7 @@ from .core import (
     STAGES,
     TOOL_STAGES,
     Instance,
+    Job,
     Objective,
     big_m,
     eligible_machines,
@@ -101,6 +102,10 @@ class MilpModel:
     `constraints` and a failed check read them.  `weights` holds the
     objective by column (`_add_objective_link` sets it).  `joined` puts the
     blocks end to end, and `constraints` reads them back with variable names.
+    `placements()` lists, per assignment column, what it places when it is
+    1: (column, machine id, job id, the stages it holds the machine for, the
+    job's completion columns by stage - 1).  A solve reads its solution
+    through them and parses no name.
     """
 
     name: str
@@ -111,6 +116,7 @@ class MilpModel:
     big_m: int = 0
     blocks: List[Rows] = field(default_factory=list)
     row_namers: List[Callable[[], List[str]]] = field(default_factory=list)
+    placements: Optional[Callable[[], List[tuple]]] = None  # set by each builder
 
     @property
     def names(self) -> List[str]:
@@ -298,6 +304,11 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
     pair_tags = [f"{ids[k]}_{ids[l]}" for k, l in pairs]
     model.binary = (_names([(_xvar(s, mid, ""),) for s, mid in slots], ids)
                     + [_yvar(ids[k], ids[l]) for k, l in pairs])
+    # X[q, j] places job j at slot q's stage alone (stay rows tie a cluster's slots).
+    model.placements = lambda: [
+        (col, mid, job_id, (s,), done)
+        for job_id, done, cols in zip(ids, C.tolist(), X.T.tolist())
+        for (s, mid), col in zip(slots, cols)]
 
     _add_chain(model, ids, STAGES, C, p, [job.ready for job in jobs])
 
@@ -501,31 +512,37 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
     # Assignment variables: one per candidate of the park's table, which
     # commits the job to the machine at that stage and to a cluster's
     # later covered stages too.  Per machine, the candidates taking it:
-    # (job index, entry stage).
+    # (job, its completion columns by stage - 1, stages held).
     park = instance.park
     x_options: Dict[Visit, List[int]] = {(job.id, s): [] for job in jobs for s in job.stages}
-    takes: List[List[Tuple[int, int]]] = [[] for _ in instance.machines]
-    for j, job in enumerate(jobs):
+    takes: List[List[Tuple[Job, List[int], Tuple[int, ...]]]] = [[] for _ in instance.machines]
+    for job, done in zip(jobs, C.tolist()):
         for s, options in zip(job.stages, park.pattern(job.stages).candidates):
             for k in options:
-                takes[k].append((j, s))
-    # Every reservation, and per machine (job id, "job_exit" tag,
-    # reservation index) for each of its own.
+                takes[k].append((job, done, (s,) + park.later[k]))
+    # Every reservation and its placement; a fresh z per pair of one machine's
+    # reservations by two jobs (z = 1: front's reservation precedes back's).
     reservations: List[Tuple[int, int, int, int]] = []
-    occupations: Dict[str, List[Tuple[str, str, int]]] = {}
-    completion = C.tolist()
-    for machine, later, taken in zip(instance.machines, park.later, takes):
-        occupations[machine.id] = occupied = []
-        for j, entry in taken:
-            job = jobs[j]
-            exit_stage = later[-1] if later else entry
+    placements = []
+    tags, fronts, backs = [], [], []
+    for mid, taken in zip(park.machine_ids, takes):
+        own = []  # (job id, "job_exit" tag, reservation index) per reservation
+        for job, done, stages in taken:
             x = len(model.continuous) + len(model.binary)
-            model.binary.append(_xvar(entry, machine.id, job.id))
-            occupied.append((job.id, f"{job.id}_{exit_stage}", len(reservations)))
-            reservations.append((completion[j][entry - 1], completion[j][exit_stage - 1],
-                                 x, job.duration(entry)))
-            for s in (entry,) + later:
+            model.binary.append(_xvar(stages[0], mid, job.id))
+            placements.append((x, mid, job.id, stages, done))
+            own.append((job.id, f"{job.id}_{stages[-1]}", len(reservations)))
+            reservations.append((done[stages[0] - 1], done[stages[-1] - 1], x,
+                                 job.duration(stages[0])))
+            for s in stages:
                 x_options[(job.id, s)].append(x)
+        for i, (a, ta, front) in enumerate(own):
+            for b, tb, back in own[i + 1:]:
+                if a != b:
+                    tags.append(f"{mid}_{ta}_{tb}")
+                    fronts.append(front)
+                    backs.append(back)
+    model.placements = lambda: placements
 
     # Instance validation guarantees every needed stage an option.
     width = max(map(len, x_options.values()))
@@ -539,16 +556,6 @@ def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
         _add_chain(model, [job.id], job.stages, C[j:j + 1, at], p[j:j + 1, at], job.ready)
         _add_objective_link(model, [job], C[j, at[-1]], cmax, tardy[j])
 
-    # A fresh z per pair of reservations of one machine by two jobs;
-    # z = 1: front's reservation precedes back's.
-    tags, fronts, backs = [], [], []
-    for mid, occs in occupations.items():
-        for i, (a, ta, front) in enumerate(occs):
-            for b, tb, back in occs[i + 1:]:
-                if a != b:
-                    tags.append(f"{mid}_{ta}_{tb}")
-                    fronts.append(front)
-                    backs.append(back)
     if tags:
         z = len(model.continuous) + len(model.binary) + np.arange(len(tags))
         model.binary += _names([("z_",)], tags)
@@ -566,7 +573,12 @@ def milp(**kwargs):
     return highs(**kwargs)
 
 
-def _solve_model(model: MilpModel, time_limit: Optional[float]):
+def _solve(instance: Instance, model: MilpModel,
+           time_limit: Optional[float]) -> Tuple[str, Optional[Schedule]]:
+    """Solve `model` with HiGHS: the outcome (OPTIMAL, TIMED_OUT or
+    INFEASIBLE; SolverError on any other status), and the solution's
+    machine orders re-timed in integer minutes as a schedule (None
+    without a solution)."""
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 
@@ -589,37 +601,21 @@ def _solve_model(model: MilpModel, time_limit: Optional[float]):
     res = milp(c=c, constraints=LinearConstraint(A, lower, upper),
                integrality=integrality, bounds=Bounds(np.zeros(n), upper_x),
                options=options)
-    if res.status not in (0, 1, 2):
+    outcome = {0: OPTIMAL, 1: TIMED_OUT, 2: INFEASIBLE}.get(res.status)
+    if outcome is None:
         raise SolverError(f"HiGHS status {res.status}: {res.message}")
-    values = None
-    if res.x is not None:
-        values = dict(zip(model.names, res.x.tolist()))
-    return res.status, values
-
-
-def _solve(instance: Instance, model: MilpModel,
-           time_limit: Optional[float]) -> Tuple[int, Optional[Schedule]]:
-    """HiGHS's status on `model`, and its solution's machine orders re-timed
-    in integer minutes as a schedule (None without a solution)."""
-    status, values = _solve_model(model, time_limit)
-    if values is None:
-        return status, None
+    if outcome == INFEASIBLE or res.x is None:
+        return outcome, None
+    x = res.x.tolist()
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, float] = {}
-    for name, val in values.items():
-        if not name.startswith("x_") or val < 0.5:
-            continue
-        _, s, mid, job_id = name.split("_", 3)
-        stage = int(s)
-        job = instance.job(job_id)
-        machine = instance.machine(mid)
-        stages = ([c for c in machine.covered_stages if job.needs(c)]
-                  if machine.is_cluster else [stage])
-        for cov in stages:
-            assign[(job_id, cov)] = mid
-            completion[(job_id, cov)] = values[_cvar(cov, job_id)]
-    return status, earliest_completion(instance, assign,
-                                       Schedule(assign, completion).sequences)
+    for col, mid, job_id, stages, done in model.placements():
+        if x[col] > 0.5:
+            for s in stages:
+                assign[(job_id, s)] = mid
+                completion[(job_id, s)] = x[done[s - 1]]
+    return outcome, earliest_completion(instance, assign,
+                                        Schedule(assign, completion).sequences)
 
 
 def solve_exact(instance: Instance, kind: Objective,
@@ -666,11 +662,10 @@ def solve_exact(instance: Instance, kind: Objective,
         status, schedule = _solve(instance, _disjunctive_model(instance, kind), time_limit)
     except SolverError:  # HiGHS can fail on the relaxation alone
         status, schedule = _solve(instance, export_milp(instance, kind), left())
-    outcome = {0: OPTIMAL, 1: TIMED_OUT, 2: INFEASIBLE}[status]
-    if status == 2 or schedule is None:  # infeasible, or out of time with no incumbent
-        return ExactResult(schedule=None, value=None, status=outcome)
+    if schedule is None:  # infeasible, or out of time with no incumbent
+        return ExactResult(schedule=None, value=None, status=status)
     value = objective_value(instance, schedule, kind)
-    if status == 0:
+    if status == OPTIMAL:
         try:
             _pair_orders(instance, schedule)
         except ValueError:  # passing: look for an order-consistent optimum
@@ -678,6 +673,6 @@ def solve_exact(instance: Instance, kind: Objective,
                 again, consistent = _solve(instance, export_milp(instance, kind), left())
             except SolverError:  # the first solve's optimum stands
                 again = None
-            if again == 0 and objective_value(instance, consistent, kind) == value:
+            if again == OPTIMAL and objective_value(instance, consistent, kind) == value:
                 schedule = consistent
-    return ExactResult(schedule=schedule, value=value, status=outcome)
+    return ExactResult(schedule=schedule, value=value, status=status)

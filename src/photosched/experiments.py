@@ -75,6 +75,7 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
              run_exact: bool = True) -> List[ExperimentRecord]:
     """Run every (cell, replication, objective) combination deterministically.
 
+    Every grid value is checked (ValueError) before the first solve.
     Solver failures are recorded with status "failed" and the run continues.
     """
     if not (isinstance(replications, numbers.Integral) and replications >= 1):
@@ -82,11 +83,13 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
     records: List[ExperimentRecord] = []
     cells = itertools.product(grid["n"], grid["ready"], grid["T"], grid["R"],
                               grid["equipment"])
+    runs = []
     for cell, rep in itertools.product(cells, range(1, replications + 1)):
         n, ready, T, R, mc = cell
         seed = derive_seed(master_seed, *cell, rep)
-        config = GenConfig(n=n, ready_scenario=ReadyScenario(ready),
-                           T=T, R=R, equipment=mc, seed=seed)
+        runs.append((cell, rep, GenConfig(n=n, ready_scenario=ReadyScenario(ready),
+                                          T=T, R=R, equipment=mc, seed=seed)))
+    for cell, rep, config in runs:
         instance = generate_instance(config)
         for kind in objectives:
             runtimes = {}

@@ -170,7 +170,7 @@ def test_golden_lp_export_zero_ready(n, mc):
     assert digests == GOLDEN_LP_ZERO_READY[(n, mc)]
 
 
-def _highs_inputs_digest(model) -> str:
+def _highs_inputs_digest(instance, model) -> str:
     """First 16 hex digits of the SHA-256 of what HiGHS receives for the model:
     c, the constraint matrix in the CSC form `milp` hands over, row bounds,
     integrality, variable bounds and options."""
@@ -182,7 +182,7 @@ def _highs_inputs_digest(model) -> str:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "milp", record)
-        exact._solve_model(model, None)
+        exact._solve(instance, model, None)
     (kw,) = calls
     A = sparse.csc_array(kw["constraints"].A)
     digest = hashlib.sha256(repr((A.shape, sorted(kw["options"].items()))).encode())
@@ -220,7 +220,7 @@ GOLDEN_HIGHS = {
 def test_golden_highs_inputs(n, mc):
     inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
                                        equipment=mc, seed=10 * n + mc))
-    digests = {name: {kind.value: _highs_inputs_digest(build(inst, kind))
+    digests = {name: {kind.value: _highs_inputs_digest(inst, build(inst, kind))
                       for kind in Objective}
                for name, build in (("literal", export_milp),
                                    ("internal", exact._disjunctive_model))}
@@ -356,14 +356,21 @@ def test_instance_without_route_is_rejected():
         Instance(jobs=(Job("J1", (40, 20, 75, 45, 30, 45)),), machines=machines)
 
 
-# A park without an individual coater: every route starts on CE1 or CEDB1,
-# so no job may take E1 at stage 3.  The relaxation used to reserve E1 for
-# both jobs anyway (12 binaries; 22 rows for wct); it now reserves exactly
-# the candidates of the park's table (9 binaries; 20 rows), with equal optima.
-def test_relaxation_reserves_the_park_tables_candidates():
+def coater_less_instance() -> Instance:
+    """A park without an individual coater: every route starts on CE1 or
+    CEDB1, which then holds the job's later stages."""
     machines = tuple(Machine(f"{cls}1", cls) for cls in ("S", "CE", "CEDB", "E", "D", "B"))
     jobs = (Job("J1", (40, 20, 75, 0, 30, 45)), Job("J2", (0, 20, 75, 0, 30, 0)))
-    inst = Instance(jobs=jobs, machines=machines)
+    return Instance(jobs=jobs, machines=machines)
+
+
+# In the coater-less park no job may take E1 at stage 3.  The relaxation
+# used to reserve E1 for both jobs anyway (12 binaries; 22 rows for wct);
+# it now reserves exactly the candidates of the park's table (9 binaries;
+# 20 rows), with equal optima.
+def test_relaxation_reserves_the_park_tables_candidates():
+    inst = coater_less_instance()
+    jobs = inst.jobs
     ids = inst.park.machine_ids
     candidates = sorted(f"x_{s}_{ids[k]}_{job.id}" for job in jobs
                         for s, options in zip(job.stages,
@@ -376,8 +383,25 @@ def test_relaxation_reserves_the_park_tables_candidates():
         assert sorted(v for v in model.binary if v.startswith("x_")) == candidates
         assert model.counts[2] == 9
         status, schedule = exact._solve(inst, model, None)
-        assert status == 0 and check_feasibility(inst, schedule) == []
+        assert status == OPTIMAL and check_feasibility(inst, schedule) == []
         assert objective_value(inst, schedule, kind) == truth[kind]
+
+
+def _solve_reading_objective(instance, model, time_limit):
+    """`exact._solve`'s outcome and schedule, and the objective value of
+    HiGHS's solution, rounded."""
+    results = []
+    highs = exact.milp
+
+    def record(**kwargs):
+        results.append(highs(**kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "milp", record)
+        status, schedule = exact._solve(instance, model, time_limit)
+    (res,) = results
+    return status, schedule, round(res.fun)
 
 
 def _fake_milp(monkeypatch, result):
@@ -404,8 +428,9 @@ def test_solve_exact_reports_infeasible_model(monkeypatch):
     assert calls
 
 
-def test_solve_exact_raises_on_other_highs_status(monkeypatch):
-    failed = SimpleNamespace(status=4, message="numerical trouble", x=None)
+@pytest.mark.parametrize("status", [3, 4])  # unbounded, solve error
+def test_solve_exact_raises_on_other_highs_status(monkeypatch, status):
+    failed = SimpleNamespace(status=status, message="numerical trouble", x=None)
     calls = _fake_milp(monkeypatch, failed)
     inst = passing_instance()
     with pytest.raises(SolverError, match="numerical trouble"):
@@ -419,9 +444,9 @@ def test_solve_exact_solves_the_literal_model_when_highs_fails_on_the_first():
     inst = generate_instance(GenConfig(n=5, ready_scenario=ReadyScenario.ALL_ZERO, T=0.6,
                                        R=0.5, equipment=2, seed=671925))
     literal = export_milp(inst, Objective.WCT)
-    status, values = exact._solve_model(literal, None)
-    assert status == 0
-    optimum = round(sum(c * values[v] for v, c in literal.objective.items()))
+    status, schedule, optimum = _solve_reading_objective(inst, literal, None)
+    assert status == OPTIMAL
+    assert objective_value(inst, schedule, Objective.WCT) == optimum
     result = solve_exact(inst, Objective.WCT, time_limit=60)
     assert (result.status, result.value) == (OPTIMAL, optimum)
     assert check_feasibility(inst, result.schedule) == []
@@ -430,15 +455,15 @@ def test_solve_exact_solves_the_literal_model_when_highs_fails_on_the_first():
 
 def test_a_failed_first_solve_hands_the_time_left_to_the_literal_model(monkeypatch):
     calls = []
-    solve_model = exact._solve_model
+    solve = exact._solve
 
-    def fail_first(model, time_limit):
+    def fail_first(instance, model, time_limit):
         calls.append((model, time_limit))
         if len(calls) == 1:
             raise SolverError("HiGHS status 4: injected")
-        return solve_model(model, time_limit)
+        return solve(instance, model, time_limit)
 
-    monkeypatch.setattr(exact, "_solve_model", fail_first)
+    monkeypatch.setattr(exact, "_solve", fail_first)
     inst = passing_instance()
     result = solve_exact(inst, Objective.TWT, time_limit=60)
     assert (result.status, result.value) == (OPTIMAL, 510)
@@ -478,10 +503,9 @@ def test_highs_agrees_where_the_per_job_bound_is_met():
                     if decoder.score(order, kind) != bound:
                         continue
                     model = exact._disjunctive_model(inst, kind)
-                    status, values = exact._solve_model(model, 60)
-                    assert status == 0
-                    assert round(sum(c * values[v]
-                                     for v, c in model.objective.items())) == bound
+                    status, schedule, optimum = _solve_reading_objective(inst, model, 60)
+                    assert status == OPTIMAL
+                    assert optimum == objective_value(inst, schedule, kind) == bound
                     assert solve_exact(inst, kind).value == bound
                     checked += 1
     assert checked == 50  # of the 60 (instance, objective) pairs
@@ -511,15 +535,34 @@ def passing_instance() -> Instance:
     return Instance(jobs=jobs, machines=tuple(equipment(2)))
 
 
+# The passing instance's wct solves take seconds; its cmax and twt optima pass.
+@pytest.mark.parametrize("build", [export_milp, exact._disjunctive_model])
+@pytest.mark.parametrize("inst,kinds", [
+    (passing_instance(), (Objective.CMAX, Objective.TWT)),
+    (coater_less_instance(), tuple(Objective))], ids=["passing", "coater-less"])
+def test_solve_reads_the_solution_by_column_not_by_name(build, inst, kinds):
+    for kind in kinds:
+        model, renamed = build(inst, kind), build(inst, kind)
+        renamed.continuous = [f"c{i}" for i in range(len(renamed.continuous))]
+        renamed.binary = [f"b{i}" for i in range(len(renamed.binary))]
+        status, schedule = exact._solve(inst, model, None)
+        assert status == OPTIMAL and check_feasibility(inst, schedule) == []
+        assert exact._solve(inst, renamed, None) == (status, schedule)
+        # A cluster holds a job's later stages as well as its entry stage.
+        held = [(job_id, mid) for (job_id, _), mid in schedule.assign.items()
+                if inst.machine(mid).is_cluster]
+        assert len(held) > len(set(held))
+
+
 def _spy_solves(monkeypatch):
     models = []
-    solve_model = exact._solve_model
+    solve = exact._solve
 
-    def spy(model, time_limit):
+    def spy(instance, model, time_limit):
         models.append(model)
-        return solve_model(model, time_limit)
+        return solve(instance, model, time_limit)
 
-    monkeypatch.setattr(exact, "_solve_model", spy)
+    monkeypatch.setattr(exact, "_solve", spy)
     return models
 
 
@@ -545,23 +588,23 @@ def test_resolve_keeps_passing_optimum_the_literal_model_cannot_reach(monkeypatc
     literal = export_milp(inst, Objective.CMAX)
     with pytest.raises(ValueError, match="J1 and J4"):
         schedule_to_values(inst, result.schedule, literal)
-    status, values = exact._solve_model(literal, None)
-    assert status == 0
-    assert round(sum(c * values[v] for v, c in literal.objective.items())) == 300
+    status, schedule, optimum = _solve_reading_objective(inst, literal, None)
+    assert status == OPTIMAL
+    assert optimum == objective_value(inst, schedule, Objective.CMAX) == 300
 
 
 def _spy_limits(monkeypatch, overrun_first=False):
     """Record when each HiGHS solve starts and the time limit it gets."""
     calls = []
-    solve_model = exact._solve_model
+    solve = exact._solve
 
-    def spy(model, time_limit):
+    def spy(instance, model, time_limit):
         calls.append((time.perf_counter(), time_limit))
         if overrun_first and len(calls) == 1:
             time_limit = None  # overrun the limit, yet prove the optimum
-        return solve_model(model, time_limit)
+        return solve(instance, model, time_limit)
 
-    monkeypatch.setattr(exact, "_solve_model", spy)
+    monkeypatch.setattr(exact, "_solve", spy)
     return calls
 
 
@@ -592,15 +635,15 @@ def test_resolve_gets_no_time_once_the_limit_is_spent(monkeypatch):
 
 def test_a_failed_resolve_keeps_the_first_optimum(monkeypatch):
     calls = []
-    solve_model = exact._solve_model
+    solve = exact._solve
 
-    def fail_second(model, time_limit):
+    def fail_second(instance, model, time_limit):
         calls.append(model)
         if len(calls) == 2:
             raise SolverError("HiGHS status 4: injected")
-        return solve_model(model, time_limit)
+        return solve(instance, model, time_limit)
 
-    monkeypatch.setattr(exact, "_solve_model", fail_second)
+    monkeypatch.setattr(exact, "_solve", fail_second)
     inst = passing_instance()
     result = solve_exact(inst, Objective.CMAX)
     assert (result.status, result.value) == (OPTIMAL, 270)
@@ -610,14 +653,14 @@ def test_a_failed_resolve_keeps_the_first_optimum(monkeypatch):
 
 def test_a_timed_out_first_solve_reports_its_incumbent_without_resolving(monkeypatch):
     calls = []
-    solve_model = exact._solve_model
+    solve = exact._solve
 
-    def time_out(model, time_limit):
+    def time_out(instance, model, time_limit):
         calls.append(model)
-        _, values = solve_model(model, time_limit)
-        return 1, values  # the limit struck, with the solution as incumbent
+        _, schedule = solve(instance, model, time_limit)
+        return TIMED_OUT, schedule  # the limit struck, with the solution as incumbent
 
-    monkeypatch.setattr(exact, "_solve_model", time_out)
+    monkeypatch.setattr(exact, "_solve", time_out)
     inst = passing_instance()
     result = solve_exact(inst, Objective.CMAX, time_limit=60)
     assert result.status == TIMED_OUT

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from photosched import exact
+from photosched import exact, experiments
 from photosched.core import Objective
 from photosched.experiments import (
     FAILED,
@@ -108,6 +108,18 @@ def test_run_grid_rejects_replications_below_one(replications):
     with pytest.raises(ValueError, match="replications"):
         run_grid(SMALL_GRID, [Objective.CMAX], replications=replications,
                  master_seed=3, run_exact=False)
+
+
+@pytest.mark.parametrize("bad,error", [({"n": [2, 0]}, "n must be"),
+                                       ({"ready": ["zero", "zer0"]}, "zer0")],
+                         ids=["n", "ready"])
+def test_run_grid_checks_every_grid_value_before_the_first_solve(monkeypatch, bad, error):
+    calls = []
+    monkeypatch.setattr(experiments, "run_sp", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=error):
+        run_grid({**SMALL_GRID, **bad}, [Objective.CMAX], replications=2,
+                 master_seed=7, run_exact=False)
+    assert calls == []
 
 
 def test_run_grid_without_exact():
