@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
 def _load_feasible(args, stream):
     """`args`' instance and schedule; None once each violation is printed to `stream`."""
     instance = load_instance(args.instance)
-    schedule = load_schedule(args.schedule)
+    schedule = load_schedule(args.schedule, instance)
     violations = check_feasibility(instance, schedule)
     for v in violations:
         print(f"{v.constraint_id}: {v.detail}", file=stream)

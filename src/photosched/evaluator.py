@@ -10,7 +10,7 @@ the cluster routing rules.
 import csv
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import CLUSTER_ENTRY, STAGES, Instance, Job, Objective, route_options
 
@@ -332,7 +332,15 @@ def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
             writer.writerow([job_id, stage, mid, s, c])
 
 
-def load_schedule(path) -> Schedule:
+def load_schedule(path, instance: Optional[Instance] = None) -> Schedule:
+    """Read a schedule file (ValueError on a malformed or repeated row).
+
+    `start` follows from `completion`.  Given `instance`, a row whose start
+    is not its completion minus that stage's time raises ValueError; a row
+    for a visit the instance lacks is left to `check_feasibility`.
+    """
+    times = {} if instance is None else {
+        (job.id, s): job.duration(s) for job in instance.jobs for s in job.stages}
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, int] = {}
     with open(path, newline="") as fh:
@@ -340,10 +348,14 @@ def load_schedule(path) -> Schedule:
             job_id = rec["job_id"]
             stage = int(rec["stage"])
             mid = rec["machine_id"]
-            int(rec["start"])  # follows from completion; parsed so a malformed file raises
+            start = int(rec["start"])
             c = int(rec["completion"])
             if (job_id, stage) in assign:
                 raise ValueError(f"schedule: job {job_id} stage {stage} appears twice")
+            p = times.get((job_id, stage))
+            if p is not None and start != c - p:
+                raise ValueError(f"schedule: job {job_id} stage {stage} starts at {start}, "
+                                 f"not at completion {c} minus stage time {p}")
             assign[(job_id, stage)] = mid
             completion[(job_id, stage)] = c
     return Schedule(assign=assign, completion=completion)

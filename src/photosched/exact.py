@@ -13,8 +13,9 @@ relaxation's optima equal exhaustive enumeration.  When its optimum
 passes, the literal model is solved once more for an order-consistent
 schedule of equal value.  Both are solved with the HiGHS
 branch-and-bound backend behind scipy, which this module imports only on
-its first HiGHS call (`milp`); building, exporting and checking models
-needs numpy alone.
+its first HiGHS call (`milp`).  Building, exporting and checking models
+needs numpy alone, imported on the first model built: a solve answered
+before any model is built loads neither.
 
 Before any model is built, `solve_exact` decodes SP's initial order; when
 that schedule meets the per-job lower bound (every job done at its ready
@@ -25,9 +26,7 @@ without a HiGHS call.
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     CLUSTER_BARS,
@@ -50,6 +49,9 @@ from .evaluator import (
     timelines,
 )
 from .search import sp_initial_order
+
+if TYPE_CHECKING:  # for annotations; each function that needs numpy imports it
+    import numpy as np
 
 OPTIMAL = "optimal"
 TIMED_OUT = "timeout"
@@ -74,15 +76,16 @@ class Rows(NamedTuple):
     (a zero coefficient pads a short row: no term) and bounds the sum by
     `lower[i]` and `upper[i]`.  `cols` and `coefs` hold a row's terms on
     their last axis; the axes before it index the rows in C order."""
-    cols: np.ndarray
-    coefs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    cols: "np.ndarray"
+    coefs: "np.ndarray"
+    lower: "np.ndarray"
+    upper: "np.ndarray"
 
 
 def _rows(cols, coefs, sense: str, rhs) -> Rows:
     """Rows over `cols` with `coefs` (broadcast to `cols`) and one `sense`
     ("<=", ">=", "=") against `rhs` (broadcast to the rows)."""
+    import numpy as np
     cols = np.asarray(cols)
     full = np.empty(cols.shape)
     full[...] = coefs
@@ -152,6 +155,7 @@ class MilpModel:
     def joined(self):
         """(cols, coefs, starts, lower, upper): every row's padded terms end
         to end, where each row starts in them, and the row bounds."""
+        import numpy as np
         blocks = self.blocks
         widths = np.repeat([b.cols.shape[1] for b in blocks],
                            [len(b.lower) for b in blocks])
@@ -164,6 +168,7 @@ class MilpModel:
     @property
     def constraints(self) -> Tuple[LinearRow, ...]:
         """The rows as `LinearRow`s with their terms sorted by variable name."""
+        import numpy as np
         cols, coefs, starts, lower, upper = self.joined()
         keep = coefs != 0  # drop the padding
         terms = list(zip(map(self.names.__getitem__, cols[keep].tolist()),
@@ -206,7 +211,7 @@ def _names(groups, tags) -> List[str]:
 # Reservations of one machine, one per entry of arrays broadcast together:
 # (completion column at entry, completion column at exit, assignment
 # column, processing time at entry).
-Reservation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+Reservation = Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
@@ -217,6 +222,7 @@ def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
     ends when y = 0, then `second` starts after `first` ends when y = 1;
     both are slack unless both assignment columns are 1.
     """
+    import numpy as np
     (ck, dk, xk, pk), (cl, dl, xl, pl) = first, second
     shape = np.broadcast(ck, dl, y, xk, xl, cl, dk).shape
     cols = np.empty(shape + (10,), np.int64)
@@ -230,11 +236,12 @@ def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
 
 
 def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
-               C: np.ndarray, p: np.ndarray, ready) -> None:
+               C: "np.ndarray", p: "np.ndarray", ready) -> None:
     """Each job's ready row at its first stage and a chain row per later one.
 
     `C` and `p` hold the jobs' completion columns and times along `stages`.
     """
+    import numpy as np
     cols = np.empty(C.shape + (2,), np.int64)
     cols[..., 0] = C
     cols[:, 0, 1] = 0  # the ready row has no predecessor: coefficient 0
@@ -249,6 +256,7 @@ def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
 def _add_objective_link(model: MilpModel, jobs, last, cmax, tardy) -> None:
     """Weight CMAX (cmax), the jobs' completion columns `last` (wct) or T columns `tardy`
     (twt) in the objective; add the rows CMAX >= C (cmax) or T >= C - due (twt)."""
+    import numpy as np
     weights = [float(j.weight) for j in jobs]
     if model.kind == Objective.CMAX:
         model.weights[cmax] = 1.0
@@ -277,6 +285,7 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
     job and stage, X[q, j] per (stage, eligible machine) slot and job, and
     Y[i] per job pair K[i] < L[i].
     """
+    import numpy as np
     M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
     jobs = instance.jobs
@@ -474,6 +483,7 @@ def check_values(model: MilpModel, values: Dict[str, float]) -> List[str]:
     A row holds when its sum lies within its bounds widened by
     CHECK_TOL * (1 + |rhs|).
     """
+    import numpy as np
     cols, coefs, starts, lower, upper = model.joined()
     names = model.names
     x = np.fromiter(map(values.__getitem__, names), float, count=len(names))
@@ -490,6 +500,7 @@ def check_values(model: MilpModel, values: Dict[str, float]) -> List[str]:
 # Internal model with per-reservation precedence binaries
 
 def _disjunctive_model(instance: Instance, kind: Objective) -> MilpModel:
+    import numpy as np
     M = big_m(instance)
     model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
     jobs = instance.jobs
@@ -579,6 +590,7 @@ def _solve(instance: Instance, model: MilpModel,
     INFEASIBLE; SolverError on any other status), and the solution's
     machine orders re-timed in integer minutes as a schedule (None
     without a solution)."""
+    import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint
 

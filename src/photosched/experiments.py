@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Objective
 from .exact import OPTIMAL, TIMED_OUT, SolverError, solve_exact
-from .instgen import GenConfig, ReadyScenario, generate_instance
+from .instgen import GenConfig, ReadyScenario, generate_instance, is_number
 from .search import GAConfig, SPConfig, run_ga, run_sp
 
 FAILED = "failed"
@@ -78,7 +78,7 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
     Every grid value is checked (ValueError) before the first solve.
     Solver failures are recorded with status "failed" and the run continues.
     """
-    if not (isinstance(replications, numbers.Integral) and replications >= 1):
+    if not (is_number(replications, numbers.Integral) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
     records: List[ExperimentRecord] = []
     cells = itertools.product(grid["n"], grid["ready"], grid["T"], grid["R"],

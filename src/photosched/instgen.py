@@ -38,6 +38,12 @@ EQUIPMENT_COUNTS = {
 }
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Is `value` a `kind` of number?  A bool is an Integral and a Real, but
+    no job count, equipment level, factor or replication count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class ReadyScenario(str, Enum):
     ALL_ZERO = "zero"
     MIXED_30_70 = "mixed"
@@ -53,15 +59,15 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not (is_number(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.equipment not in EQUIPMENT_COUNTS:
-            raise ValueError("equipment scenario must be 1 or 2")
+        if not (is_number(self.equipment) and self.equipment in EQUIPMENT_COUNTS):
+            raise ValueError(f"equipment scenario must be 1 or 2, got {self.equipment!r}")
         # T above 1 makes every due date 0, a negative R makes them all
         # equal, and NaN or infinity are no due-date window at all.
-        if not (isinstance(self.T, numbers.Real) and 0 <= self.T <= 1):
+        if not (is_number(self.T) and 0 <= self.T <= 1):
             raise ValueError(f"T must be a number in [0, 1], got {self.T!r}")
-        if not (isinstance(self.R, numbers.Real) and 0 <= self.R < math.inf):
+        if not (is_number(self.R) and 0 <= self.R < math.inf):
             raise ValueError(f"R must be a finite number >= 0, got {self.R!r}")
 
 

@@ -122,6 +122,26 @@ def test_evaluate_rejects_a_repeated_visit(instance_path, tmp_path, capsys):
         assert out == "" and err == "error: schedule: job J1 stage 2 appears twice\n"
 
 
+def test_evaluate_rejects_a_start_that_disagrees_with_the_completion(
+        instance_path, tmp_path, capsys):
+    # Before, the start column was parsed and then ignored: a 20-minute
+    # stage row reading 0 to 60 was called feasible.
+    sched = tmp_path / "sched.csv"
+    code, _, _ = run(capsys, "solve", str(instance_path), "--alg", "sp",
+                     "--iterations", "5", "--out-schedule", str(sched))
+    assert code == 0
+    assert load_instance(instance_path).job("J1").duration(2) == 20
+    header, *rows = sched.read_text().splitlines()
+    i = next(i for i, row in enumerate(rows) if row.startswith("J1,2,"))
+    rows[i] = ",".join(rows[i].split(",")[:3] + ["0", "60"])
+    sched.write_text("\n".join([header] + rows) + "\n")
+    line = ("error: schedule: job J1 stage 2 starts at 0, "
+            "not at completion 60 minus stage time 20\n")
+    for argv in (("evaluate", str(sched), str(instance_path)),
+                 ("gantt", str(sched), str(instance_path), "--out", str(tmp_path / "g.svg"))):
+        assert run(capsys, *argv) == (1, "", line)
+
+
 @pytest.mark.parametrize("row", ["J1,7,B1,100,145", "J1,0,S1,0,40", "J9,2,C1,0,20"])
 def test_evaluate_reports_a_visit_outside_the_instance(tmp_path, capsys, row):
     # Before, these ended in an IndexError traceback, a MachineOverlap
@@ -176,6 +196,49 @@ WITHOUT_SCIPY = textwrap.dedent("""
 def test_heuristic_file_and_lp_paths_load_no_scipy(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+WITHOUT_NUMPY = textwrap.dedent("""
+    import json
+    import sys
+    from photosched import cli
+    from photosched.core import Instance, Job, Machine, Objective
+    from photosched.exact import OPTIMAL, solve_exact
+
+    with open("grid.json", "w") as fh:
+        json.dump({"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+                   "equipment": [2], "objectives": ["cmax"], "replications": 1}, fh)
+    for argv in (["generate", "--n", "3", "--equipment", "2", "--seed", "5",
+                  "--out", "inst.json"],
+                 ["solve", "inst.json", "--alg", "ga", "--out-schedule", "ga.csv"],
+                 ["solve", "inst.json", "--alg", "sp", "--iterations", "20",
+                  "--out-schedule", "sp.csv"],
+                 ["evaluate", "sp.csv", "inst.json"],
+                 ["gantt", "sp.csv", "inst.json", "--out", "sp.svg"],
+                 ["experiment", "--grid", "grid.json", "--out", "exp", "--seed", "1",
+                  "--no-exact"]):
+        assert cli.dispatch(argv) == 0, argv
+
+    # One job, one machine per stage: SP's order meets the per-job bound,
+    # so the optimum is found before any model is built.
+    job = Job("J1", (40, 20, 75, 45, 30, 45))
+    machines = tuple(Machine(f"{cls}1", cls) for cls in "SCEDB")
+    result = solve_exact(Instance(jobs=(job,), machines=machines), Objective.CMAX)
+    assert (result.status, result.value) == (OPTIMAL, job.total_time)
+    assert "numpy" not in sys.modules, "a light path imported numpy"
+
+    assert cli.dispatch(["export-lp", "inst.json", "--out", "model.lp"]) == 0
+    assert "numpy" in sys.modules, "a model was built without numpy"
+    assert "scipy" not in sys.modules, "export-lp imported scipy"
+""")
+
+
+def test_heuristic_file_and_shortcut_paths_load_no_numpy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -319,9 +382,11 @@ def test_experiment_rejects_replications_below_one(tmp_path, capsys, where,
     assert not (out_dir / "records.csv").exists()
 
 
-# A string or fractional count used to end in a TypeError traceback.
-@pytest.mark.parametrize("key,value", [("n", ["2"]), ("n", [2.5]),
-                                       ("replications", "2"), ("replications", 1.5)])
+# A string or fractional count used to end in a TypeError traceback; a
+# JSON true was run as 1 (a bool is an Integral).
+@pytest.mark.parametrize("key,value", [("n", ["2"]), ("n", [2.5]), ("n", [True]),
+                                       ("replications", "2"), ("replications", 1.5),
+                                       ("replications", True)])
 def test_experiment_rejects_grid_counts_that_are_not_integers(tmp_path, capsys,
                                                                key, value):
     grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],

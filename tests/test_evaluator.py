@@ -312,6 +312,19 @@ def test_load_schedule_rejects_a_repeated_visit(tmp_path):
         load_schedule(path)
 
 
+def test_load_schedule_checks_starts_against_the_instance(tmp_path):
+    # Stage 2 takes 20 minutes, so a row completing at 60 starts at 40.
+    inst = one_job_instance()
+    path = tmp_path / "sched.csv"
+    path.write_text("job_id,stage,machine_id,start,completion\nJ1,2,C1,0,60\n")
+    assert load_schedule(path).completion == {("J1", 2): 60}  # no instance: no check
+    with pytest.raises(ValueError, match="^schedule: job J1 stage 2 starts at 0, "
+                                         "not at completion 60 minus stage time 20$"):
+        load_schedule(path, inst)
+    path.write_text("job_id,stage,machine_id,start,completion\nJ1,2,C1,40,60\n")
+    assert load_schedule(path, inst).completion == {("J1", 2): 60}
+
+
 def test_load_schedule_rejects_a_malformed_start(tmp_path):
     # The start column follows from completion but is still parsed.
     path = tmp_path / "sched.csv"

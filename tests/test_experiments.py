@@ -103,7 +103,7 @@ def test_run_grid_shape_and_determinism():
     assert strip(records) == strip(again)
 
 
-@pytest.mark.parametrize("replications", [0, -2])
+@pytest.mark.parametrize("replications", [0, -2, True])  # True is an Integral equal to 1
 def test_run_grid_rejects_replications_below_one(replications):
     with pytest.raises(ValueError, match="replications"):
         run_grid(SMALL_GRID, [Objective.CMAX], replications=replications,

@@ -182,6 +182,14 @@ def test_config_validation():
             GenConfig(n=n, seed=1)
 
 
+@pytest.mark.parametrize("field", ["n", "equipment", "T", "R"])
+def test_config_rejects_a_bool_for_a_number(field):
+    # A bool is an Integral and a Real: a JSON true in a grid used to run
+    # as n = 1 or park 1 and be written as True, or fail inside Fraction.
+    with pytest.raises(ValueError, match=f"^{field} .*got True$"):
+        GenConfig(**{"n": 3, "seed": 1, field: True})
+
+
 @pytest.mark.parametrize("T", [-0.1, 1.5, float("nan"), float("inf"), "0.3"])
 def test_config_rejects_tardiness_factor_outside_unit_interval(T):
     # T = 1.5 used to give every job due date 0; NaN failed inside Fraction.

@@ -99,3 +99,32 @@ def test_accepted_instances_solve_and_rejected_ones_have_no_schedule(case):
             assert check_feasibility(inst, schedule) == []
             assert value == objective_value(inst, schedule, kind)
             assert value >= exact.value
+
+
+@st.composite
+def doubled_parks(draw):
+    """1-3 jobs as in `hand_built` on a full park: one machine per tool
+    class, two identical machines in each of one or two classes."""
+    jobs, _ = draw(hand_built())
+    doubled = draw(st.sets(st.sampled_from(tuple(TOOL_STAGES)), min_size=1, max_size=2))
+    machines = tuple(Machine(f"{cls}{i}", cls) for cls in TOOL_STAGES
+                     for i in range(1, 2 + (cls in doubled)))
+    return jobs, machines
+
+
+@settings(max_examples=50)
+@given(doubled_parks())
+def test_exact_equals_enumeration_with_identical_machines(case):
+    # Two machines of one class give the relaxation z pairs per machine and
+    # make the decoder break ties by machine id; `hand_built` parks do neither.
+    inst = Instance(*case)
+    size = search_size(inst)
+    truth = brute_force(inst) if size <= BRUTE_FORCE_LIMIT else None
+    for kind in Objective:
+        exact = solve_exact(inst, kind, time_limit=60)
+        assert exact.status == OPTIMAL
+        if truth is not None:
+            assert exact.value == truth[kind]
+        for schedule, value in heuristic_runs(inst, kind) + [(exact.schedule, exact.value)]:
+            assert check_feasibility(inst, schedule) == []
+            assert value >= exact.value
