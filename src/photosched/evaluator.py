@@ -8,7 +8,7 @@ the cluster routing rules.
 """
 
 import csv
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,9 +39,10 @@ class Schedule:
     def sequences(self) -> Dict[str, List[Visit]]:
         """Each machine's visits ordered by completion, ties by stage then
         job id; on a feasible schedule this is the start order."""
+        assign, completion = self.assign, self.completion
         out: Dict[str, List[Visit]] = defaultdict(list)
-        for v in sorted(self.assign, key=lambda v: (self.completion[v], v[1], v[0])):
-            out[self.assign[v]].append(v)
+        for v in sorted(assign, key=lambda v: (completion[v], v[1], v[0])):
+            out[assign[v]].append(v)
         return dict(out)
 
     def start(self, instance: Instance, job_id: str, stage: int) -> int:
@@ -83,12 +84,16 @@ def _reservations(instance: Instance,
     individual machines and bake ovens every visit stands alone.
     """
     by_machine: Dict[str, List[Tuple[str, List[int]]]] = defaultdict(list)
+    cluster: Dict[str, bool] = {}  # each machine's flag, read once
     for (job_id, stage), mid in sorted(assign.items()):
         held = by_machine[mid]
-        if held and held[-1][0] == job_id and instance.machine(mid).is_cluster:
-            held[-1][1].append(stage)
-        else:
-            held.append((job_id, [stage]))
+        if held and held[-1][0] == job_id:
+            if mid not in cluster:
+                cluster[mid] = instance.machine(mid).is_cluster
+            if cluster[mid]:
+                held[-1][1].append(stage)
+                continue
+        held.append((job_id, [stage]))
     return by_machine
 
 
@@ -100,8 +105,10 @@ def timelines(instance: Instance,
     A reservation holds its machine from its first stage's start to its
     last stage's completion.
     """
-    return {mid: [(schedule.start(instance, job_id, stages[0]),
-                   schedule.completion[(job_id, stages[-1])], job_id, stages)
+    times = {job.id: job.p for job in instance.jobs}
+    completion = schedule.completion
+    return {mid: [(completion[(job_id, stages[0])] - times[job_id][stages[0] - 1],
+                   completion[(job_id, stages[-1])], job_id, stages)
                   for job_id, stages in held]
             for mid, held in _reservations(instance, schedule.assign).items()}
 
@@ -116,68 +123,63 @@ def earliest_completion(instance: Instance, assign: Dict[Visit, str],
     Each machine is a single timeline of reservations in sequence order;
     a cluster reservation holds the machine from its entry-stage start to
     its exit-stage completion.  A visit starts at the later of its job's
-    ready time and its predecessors' completions.  Raises
-    CyclicSequenceError when the per-machine orders contradict the job
-    flow.
+    ready time and its at most two predecessors' completions: its job's
+    previous assigned stage, and for a reservation's first stage the last
+    stage of the reservation before it on the machine.  One topological
+    pass times each visit once.  Raises CyclicSequenceError when the
+    per-machine orders contradict the job flow.
     """
-    visits = sorted(assign)
-    preds: Dict[Visit, List[Visit]] = {v: [] for v in visits}
-    for job in instance.jobs:
-        prev = None
-        for s in job.stages:
-            v = (job.id, s)
-            if v not in preds:
-                continue  # missing assignment; caller detects separately
-            if prev is not None:
-                preds[v].append(prev)
-            prev = v
-
-    # Machine-order edges between consecutive reservations.
+    after: Dict[Visit, Visit] = {}  # reservation's first visit -> previous one's last
     for mid, held in _reservations(instance, assign).items():
-        order = _reservation_order(held, sequences.get(mid, []))
-        for (a, a_stages), (b, b_stages) in zip(order, order[1:]):
-            preds[(b, b_stages[0])].append((a, a_stages[-1]))
+        if len(held) > 1:
+            order = _reservation_order(held, sequences.get(mid, []))
+            for (a, a_stages), (b, b_stages) in zip(order, order[1:]):
+                after[(b, b_stages[0])] = (a, a_stages[-1])
 
-    indeg = {v: len(ps) for v, ps in preds.items()}
-    succs: Dict[Visit, List[Visit]] = defaultdict(list)
-    for v, ps in preds.items():
-        for u in ps:
-            succs[u].append(v)
-    queue = deque(v for v, d in indeg.items() if d == 0)
+    # Each job's assigned stages form one chain (a missing assignment is
+    # detected by the caller); a visit outside every chain, such as one at
+    # a stage its job skips, stands alone.
+    chains = [(job, [s for s in job.stages if (job.id, s) in assign])
+              for job in instance.jobs]
+    if sum(len(stages) for _, stages in chains) < len(assign):
+        chained = {(job.id, s) for job, stages in chains for s in stages}
+        chains += [(instance.job(job_id), [s]) for job_id, s in sorted(assign)
+                   if (job_id, s) not in chained]
+
+    # Walk each chain until a visit's machine predecessor is untimed; the
+    # chain waits on that predecessor and resumes once it is timed.
     completion: Dict[Visit, int] = {}
-    done = 0
-    while queue:
-        v = queue.popleft()
-        job_id, stage = v
-        job = instance.job(job_id)
-        start = job.ready
-        for u in preds[v]:
-            start = max(start, completion[u])
-        completion[v] = start + job.duration(stage)
-        done += 1
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if done != len(visits):
-        raise CyclicSequenceError([v for v in visits if v not in completion])
+    waiting: Dict[Visit, Tuple[Job, List[int], int, int]] = {}
+    stack = [(job, stages, 0, job.ready) for job, stages in chains]
+    while stack:
+        job, stages, i, done = stack.pop()
+        for i in range(i, len(stages)):
+            v = (job.id, stages[i])
+            u = after.get(v)
+            if u is not None:
+                if u not in completion:
+                    waiting[u] = (job, stages, i, done)
+                    break
+                done = max(done, completion[u])
+            done += job.p[stages[i] - 1]
+            completion[v] = done
+            if v in waiting:
+                stack.append(waiting.pop(v))
+    if len(completion) != len(assign):
+        raise CyclicSequenceError([v for v in sorted(assign) if v not in completion])
     return Schedule(assign=dict(assign), completion=completion)
 
 
 def _reservation_order(held: List[Tuple[str, List[int]]],
                        sequence: List[Visit]) -> List[Tuple[str, List[int]]]:
-    """Order a machine's reservations by its visit sequence.
+    """Order a machine's reservations by their first visit in its sequence.
 
-    Falls back to first-appearance order for visits missing from the
-    sequence list.
+    Reservations with no visit in the sequence list follow, in
+    first-appearance order (the sort is stable).
     """
     pos = {v: i for i, v in enumerate(sequence)}
-    ranked = []
-    for i, (job_id, stages) in enumerate(held):
-        known = [pos[(job_id, s)] for s in stages if (job_id, s) in pos]
-        ranked.append((min(known) if known else len(sequence) + i, i))
-    ranked.sort()
-    return [held[i] for _, i in ranked]
+    last = len(sequence)
+    return sorted(held, key=lambda r: min([pos.get((r[0], s), last) for s in r[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
     """Return all constraint violations; an empty list means feasible."""
     out: List[Violation] = []
     assign = schedule.assign
-    known_machines = {m.id for m in instance.machines}
+    machines = {m.id: m for m in instance.machines}
 
     # Assignment structure: every assigned visit belongs to the instance, and
     # visits are present exactly where p > 0, machine eligible.
@@ -196,25 +198,26 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
         if job_id not in job_ids or s not in STAGES:
             out.append(Violation("ForbiddenAssign",
                                  f"job {job_id} stage {s} is no visit of the instance"))
+    completion = schedule.completion
     for job in instance.jobs:
-        for s in STAGES:
+        for s, p in zip(STAGES, job.p):
             v = (job.id, s)
-            if job.needs(s):
-                if v not in assign:
-                    out.append(Violation("MissingAssign",
-                                         f"job {job.id} stage {s} unassigned"))
-                elif assign[v] not in known_machines:
-                    out.append(Violation("MissingAssign",
-                                         f"job {job.id} stage {s} on unknown machine {assign[v]}"))
-                elif s not in instance.machine(assign[v]).covered_stages:
+            if not p:
+                if v in assign:
                     out.append(Violation("ForbiddenAssign",
-                                         f"machine {assign[v]} cannot process stage {s} (job {job.id})"))
-                elif v not in schedule.completion:
-                    out.append(Violation("MissingAssign",
-                                         f"job {job.id} stage {s} has no completion time"))
-            elif v in assign:
+                                         f"job {job.id} stage {s} assigned but needs no processing"))
+            elif v not in assign:
+                out.append(Violation("MissingAssign",
+                                     f"job {job.id} stage {s} unassigned"))
+            elif assign[v] not in machines:
+                out.append(Violation("MissingAssign",
+                                     f"job {job.id} stage {s} on unknown machine {assign[v]}"))
+            elif s not in machines[assign[v]].covered_stages:
                 out.append(Violation("ForbiddenAssign",
-                                     f"job {job.id} stage {s} assigned but needs no processing"))
+                                     f"machine {assign[v]} cannot process stage {s} (job {job.id})"))
+            elif v not in completion:
+                out.append(Violation("MissingAssign",
+                                     f"job {job.id} stage {s} has no completion time"))
     if out:
         structural = {v.constraint_id for v in out}
         if "MissingAssign" in structural:
@@ -224,8 +227,8 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
     for job in instance.jobs:
         prev_s, prev_c = 0, job.ready
         for s in job.stages:
-            c = schedule.completion[(job.id, s)]
-            if c - prev_c < job.duration(s):
+            c = completion[(job.id, s)]
+            if c - prev_c < job.p[s - 1]:
                 if prev_s == 0:
                     out.append(Violation("ReadyTime",
                                          f"job {job.id} stage {s} starts before ready time {job.ready}"))
@@ -238,10 +241,10 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
     for job in instance.jobs:
         for s in job.stages:
             mid = assign[(job.id, s)]
-            machine = instance.machine(mid)
-            if not machine.is_cluster:
+            machine = machines[mid]
+            entry = CLUSTER_ENTRY.get(machine.tool_class)
+            if entry is None:
                 continue
-            entry = CLUSTER_ENTRY[machine.tool_class]
             if s == entry:
                 if machine.tool_class not in {r.family for r in route_options(job)}:
                     out.append(Violation("ForbiddenAssign",
@@ -263,8 +266,8 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> List[Violation]
 
     # Machine exclusivity: reservations on one timeline must not overlap.
     for mid, spans in timelines(instance, schedule).items():
-        machine = instance.machine(mid)
-        spans.sort(key=lambda t: (t[0], t[1]))
+        machine = machines[mid]
+        spans.sort()  # by (start, end); ties stay in (job id, stage) order
         for (_, c1, a, a_stages), (s2, _, b, b_stages) in zip(spans, spans[1:]):
             if s2 < c1 and a != b:
                 if machine.is_cluster:
@@ -299,7 +302,8 @@ def completion_objective(ends: Sequence[Tuple[Job, int]], kind: Objective) -> in
 
 
 def _job_ends(instance: Instance, schedule: Schedule) -> List[Tuple[Job, int]]:
-    return [(job, schedule.last_completion(instance, job.id)) for job in instance.jobs]
+    completion = schedule.completion
+    return [(job, completion[(job.id, job.stages[-1])]) for job in instance.jobs]
 
 
 def metrics(instance: Instance, schedule: Schedule) -> ScheduleMetrics:

@@ -436,8 +436,11 @@ def schedule_to_values(instance: Instance, schedule: Schedule,
     """
     values = dict.fromkeys(model.names, 0.0)
     for job in instance.jobs:
+        c = job.ready  # a skipped stage carries the previous completion forward
         for s in STAGES:
-            values[_cvar(s, job.id)] = float(schedule.completion_through(instance, job.id, s))
+            if job.needs(s):
+                c = schedule.completion[(job.id, s)]
+            values[_cvar(s, job.id)] = float(c)
     scores = metrics(instance, schedule)
     values["CMAX"] = float(scores.cmax)
     if model.kind == Objective.TWT:

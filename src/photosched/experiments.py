@@ -19,6 +19,7 @@ from .instgen import GenConfig, ReadyScenario, generate_instance, is_number
 from .search import GAConfig, SPConfig, run_ga, run_sp
 
 FAILED = "failed"
+SKIPPED = "skipped"  # the exact solve was not asked for
 
 DEFAULT_GRID = {
     "n": [5, 15, 25],
@@ -76,7 +77,8 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
     """Run every (cell, replication, objective) combination deterministically.
 
     Every grid value is checked (ValueError) before the first solve.
-    Solver failures are recorded with status "failed" and the run continues.
+    Solver failures are recorded with status "failed" and the run continues;
+    with `run_exact` false every record's status is "skipped".
     """
     if not (is_number(replications, numbers.Integral) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
@@ -105,7 +107,7 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
             runtimes["ga"] = time.perf_counter() - t0
 
             of_exact = None
-            status = FAILED
+            status = SKIPPED
             if run_exact:
                 t0 = time.perf_counter()
                 try:

@@ -61,8 +61,10 @@ class GenConfig:
     def __post_init__(self):
         if not (is_number(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (is_number(self.equipment) and self.equipment in EQUIPMENT_COUNTS):
-            raise ValueError(f"equipment scenario must be 1 or 2, got {self.equipment!r}")
+        # 1.0 would run park 1 but seed, label and record as a new level.
+        if not (is_number(self.equipment, numbers.Integral)
+                and self.equipment in EQUIPMENT_COUNTS):
+            raise ValueError(f"equipment must be an integer 1 or 2, got {self.equipment!r}")
         # T above 1 makes every due date 0, a negative R makes them all
         # equal, and NaN or infinity are no due-date window at all.
         if not (is_number(self.T) and 0 <= self.T <= 1):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from photosched import cli, exact
+from photosched import cli, exact, experiments
 from photosched.cli import dispatch
 from photosched.core import Objective, load_instance
 from photosched.decoder import Decoder
@@ -399,6 +399,24 @@ def test_experiment_rejects_grid_counts_that_are_not_integers(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {key} must be an integer >= 1, got ")
+    assert not (out_dir / "records.csv").exists()
+
+
+def test_experiment_rejects_a_fractional_equipment_level(tmp_path, capsys, monkeypatch):
+    # equipment 1.0 used to run park 1 under another seed and write mc 1.0.
+    calls = []
+    monkeypatch.setattr(experiments, "run_sp", lambda *args: calls.append(args))
+    grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+            "equipment": [1.0], "objectives": ["cmax"]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err == "error: equipment must be an integer 1 or 2, got 1.0\n"
+    assert calls == []
     assert not (out_dir / "records.csv").exists()
 
 

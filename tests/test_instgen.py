@@ -180,6 +180,9 @@ def test_config_validation():
     for n in (2.5, "2"):
         with pytest.raises(ValueError, match="^n must be an integer >= 1"):
             GenConfig(n=n, seed=1)
+    # 1.0 used to run park 1 but derive another seed and record mc 1.0.
+    with pytest.raises(ValueError, match=r"^equipment must be an integer 1 or 2, got 1\.0$"):
+        GenConfig(n=2, equipment=1.0)
 
 
 @pytest.mark.parametrize("field", ["n", "equipment", "T", "R"])

@@ -204,18 +204,18 @@ def test_golden_solves(tmp_path, mc, seed, kind, sp_value, sp_digest,
 
 GOLDEN_RECORDS = (
     "n,ready,T,R,mc,rep,objective,of_sp,of_ga,of_exact,exact_status\r\n"
-    "5,zero,0.6,2.5,1,1,cmax,210,210,,failed\r\n"
-    "5,zero,0.6,2.5,1,1,wct,2780,2780,,failed\r\n"
-    "5,zero,0.6,2.5,1,1,twt,382,382,,failed\r\n"
-    "5,zero,0.6,2.5,2,1,cmax,250,250,,failed\r\n"
-    "5,zero,0.6,2.5,2,1,wct,3455,3455,,failed\r\n"
-    "5,zero,0.6,2.5,2,1,twt,1789,1789,,failed\r\n"
-    "5,mixed,0.6,2.5,1,1,cmax,273,273,,failed\r\n"
-    "5,mixed,0.6,2.5,1,1,wct,4211,4211,,failed\r\n"
-    "5,mixed,0.6,2.5,1,1,twt,909,909,,failed\r\n"
-    "5,mixed,0.6,2.5,2,1,cmax,334,334,,failed\r\n"
-    "5,mixed,0.6,2.5,2,1,wct,2359,2359,,failed\r\n"
-    "5,mixed,0.6,2.5,2,1,twt,583,583,,failed\r\n"
+    "5,zero,0.6,2.5,1,1,cmax,210,210,,skipped\r\n"
+    "5,zero,0.6,2.5,1,1,wct,2780,2780,,skipped\r\n"
+    "5,zero,0.6,2.5,1,1,twt,382,382,,skipped\r\n"
+    "5,zero,0.6,2.5,2,1,cmax,250,250,,skipped\r\n"
+    "5,zero,0.6,2.5,2,1,wct,3455,3455,,skipped\r\n"
+    "5,zero,0.6,2.5,2,1,twt,1789,1789,,skipped\r\n"
+    "5,mixed,0.6,2.5,1,1,cmax,273,273,,skipped\r\n"
+    "5,mixed,0.6,2.5,1,1,wct,4211,4211,,skipped\r\n"
+    "5,mixed,0.6,2.5,1,1,twt,909,909,,skipped\r\n"
+    "5,mixed,0.6,2.5,2,1,cmax,334,334,,skipped\r\n"
+    "5,mixed,0.6,2.5,2,1,wct,2359,2359,,skipped\r\n"
+    "5,mixed,0.6,2.5,2,1,twt,583,583,,skipped\r\n"
 )
 
 
