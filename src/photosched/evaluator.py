@@ -48,21 +48,6 @@ class Schedule:
     def start(self, instance: Instance, job_id: str, stage: int) -> int:
         return self.completion[(job_id, stage)] - instance.job(job_id).duration(stage)
 
-    def completion_through(self, instance: Instance, job_id: str, stage: int) -> int:
-        """Completion at `stage` with skipped stages chained through.
-
-        A skipped stage inherits the previous stage's completion; stage 0
-        is the job's ready time.
-        """
-        job = instance.job(job_id)
-        for s in range(stage, 0, -1):
-            if job.needs(s):
-                return self.completion[(job_id, s)]
-        return job.ready
-
-    def last_completion(self, instance: Instance, job_id: str) -> int:
-        return self.completion_through(instance, job_id, STAGES[-1])
-
 
 @dataclass(frozen=True)
 class ScheduleMetrics:

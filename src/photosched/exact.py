@@ -633,6 +633,12 @@ def _solve(instance: Instance, model: MilpModel,
                                         Schedule(assign, completion).sequences)
 
 
+def check_time_limit(time_limit: Optional[float]) -> None:
+    """Raise ValueError unless the limit is None or >= 0 seconds (inf too)."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
+
+
 def solve_exact(instance: Instance, kind: Objective,
                 time_limit: Optional[float] = None) -> ExactResult:
     """Minimize the objective exactly (or best incumbent on timeout).
@@ -658,8 +664,7 @@ def solve_exact(instance: Instance, kind: Objective,
     When HiGHS fails on the first model, the literal model is solved in
     its place with the time left, and only its failure raises SolverError.
     """
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time limit must be >= 0 seconds, got {time_limit}")
+    check_time_limit(time_limit)
     started = time.perf_counter()
     decoder = decoder_for(instance)
     order = sp_initial_order(instance)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Objective
-from .exact import OPTIMAL, TIMED_OUT, SolverError, solve_exact
+from .exact import OPTIMAL, TIMED_OUT, SolverError, check_time_limit, solve_exact
 from .instgen import GenConfig, ReadyScenario, generate_instance, is_number
 from .search import GAConfig, SPConfig, run_ga, run_sp
 
@@ -76,12 +76,15 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
              run_exact: bool = True) -> List[ExperimentRecord]:
     """Run every (cell, replication, objective) combination deterministically.
 
-    Every grid value is checked (ValueError) before the first solve.
+    Every grid value, and the exact time limit when `run_exact`, is
+    checked (ValueError) before the first solve.
     Solver failures are recorded with status "failed" and the run continues;
     with `run_exact` false every record's status is "skipped".
     """
     if not (is_number(replications, numbers.Integral) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
+    if run_exact:
+        check_time_limit(exact_time_limit)
     records: List[ExperimentRecord] = []
     cells = itertools.product(grid["n"], grid["ready"], grid["T"], grid["R"],
                               grid["equipment"])

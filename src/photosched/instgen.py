@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .core import Instance, Job, Machine, TOOL_STAGES
 
@@ -73,16 +73,6 @@ class GenConfig:
             raise ValueError(f"R must be a finite number >= 0, got {self.R!r}")
 
 
-@dataclass(frozen=True)
-class CmaxEstimate:
-    """Estimated makespan 1.5 * (n * p_bn / m_ibn + p_nbn)."""
-
-    value: Fraction
-    p_bn: int
-    m_ibn: int
-    p_nbn: int
-
-
 def equipment(scenario: int) -> List[Machine]:
     """Machine park for equipment scenario 1 or 2."""
     counts = EQUIPMENT_COUNTS[scenario]
@@ -102,13 +92,13 @@ def gen_processing(rng: random.Random) -> Tuple[int, ...]:
     return tuple(p)
 
 
-def estimate_cmax(n: int, machines: List[Machine]) -> CmaxEstimate:
+def estimate_cmax(n: int, machines: Sequence[Machine]) -> Fraction:
+    """Estimated makespan 1.5 * (n * p_bn / m_ibn + p_nbn): expose time p_bn,
+    m_ibn machines covering expose, the other stages' total time p_nbn."""
     m_ibn = sum(1 for m in machines if BOTTLENECK_STAGE in m.covered_stages)
     if m_ibn == 0:
         raise ValueError("no machine covers the bottleneck stage")
-    value = Fraction(3, 2) * (n * Fraction(BOTTLENECK_TIME, m_ibn) + NON_BOTTLENECK_TIME)
-    return CmaxEstimate(value=value, p_bn=BOTTLENECK_TIME, m_ibn=m_ibn,
-                        p_nbn=NON_BOTTLENECK_TIME)
+    return Fraction(3, 2) * (n * Fraction(BOTTLENECK_TIME, m_ibn) + NON_BOTTLENECK_TIME)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -116,13 +106,13 @@ def _round_half_up(x: Fraction) -> int:
 
 
 def gen_ready(rng: random.Random, scenario: ReadyScenario,
-              cmax_estimate: CmaxEstimate, n: int) -> List[int]:
+              cmax_estimate: Fraction, n: int) -> List[int]:
     if scenario == ReadyScenario.ALL_ZERO:
         return [0] * n
     # 30% of jobs (rounded half toward more zeros) released immediately.
     n_zero = int(Fraction(3, 10) * n + Fraction(1, 2))
     zero_jobs = set(rng.sample(range(n), min(n_zero, n)))
-    upper = int(Fraction(2, 3) * cmax_estimate.value)
+    upper = int(Fraction(2, 3) * cmax_estimate)
     ready = []
     for k in range(n):
         if k in zero_jobs or upper < 1:
@@ -132,10 +122,12 @@ def gen_ready(rng: random.Random, scenario: ReadyScenario,
     return ready
 
 
-def due_window(T: float, R: float, cmax_estimate: CmaxEstimate) -> Tuple[int, int]:
+def due_window(T: Union[float, str], R: Union[float, str],
+               cmax_estimate: Fraction) -> Tuple[int, int]:
     """The (lo, hi) range due dates are drawn from: the estimated makespan
-    scaled by 1 - T, widened by R / 2 on either side, clamped at 0."""
-    mu = cmax_estimate.value * (1 - Fraction(str(T)))
+    scaled by 1 - T, widened by R / 2 on either side, clamped at 0; T and R
+    are numbers or their text, read as the decimals they print as."""
+    mu = cmax_estimate * (1 - Fraction(str(T)))
     half = Fraction(str(R)) / 2
     lo = max(0, _round_half_up(mu * (1 - half)))
     return lo, max(lo, _round_half_up(mu * (1 + half)))
@@ -158,9 +150,9 @@ def _machine_park(scenario: int) -> Tuple[Machine, ...]:
 # are keyed by the text `due_window` parses.
 @lru_cache(maxsize=256)
 def _estimate_and_window(n: int, scenario: int, T: str,
-                         R: str) -> Tuple[CmaxEstimate, Tuple[int, int]]:
-    est = estimate_cmax(n, equipment(scenario))
-    return est, due_window(Fraction(T), Fraction(R), est)
+                         R: str) -> Tuple[Fraction, Tuple[int, int]]:
+    est = estimate_cmax(n, _machine_park(scenario))
+    return est, due_window(T, R, est)
 
 
 def generate_instance(config: GenConfig) -> Instance:

@@ -38,7 +38,6 @@ class GAConfig:
     pop_size: int = 100
     max_generations: int = 500
     stall_window: int = 50
-    stall_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class GAConfig:
             raise ValueError("stall_window must be >= 1")
         if self.stall_window > self.max_generations:
             raise ValueError("stall_window must not exceed max_generations")
-        if not self.stall_tolerance >= 0:  # NaN or negative: never stalls
-            raise ValueError("stall_tolerance must be >= 0")
 
 
 @functools.lru_cache(maxsize=1)  # SP, the GA and exact each start from it
@@ -283,10 +280,15 @@ def _tournament(population: List[_Order], fits: List[int], below) -> _Order:
     return population[i] if fits[i] <= fits[j] else population[j]
 
 
+# The GA stops once the best value's mean relative change per generation
+# over the last `stall_window` generations is at most this.
+STALL_TOLERANCE = 1e-6
+
+
 def _stalled(history: List[int], config: GAConfig) -> bool:
     window = history[-(config.stall_window + 1):]
     changes = [
         abs(b - a) / max(abs(a), 1.0)
         for a, b in zip(window, window[1:])
     ]
-    return sum(changes) / len(changes) <= config.stall_tolerance
+    return sum(changes) / len(changes) <= STALL_TOLERANCE

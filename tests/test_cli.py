@@ -13,7 +13,7 @@ from photosched import cli, exact, experiments
 from photosched.cli import dispatch
 from photosched.core import Objective, load_instance
 from photosched.decoder import Decoder
-from photosched.exact import OPTIMAL, TIMED_OUT
+from photosched.exact import OPTIMAL, TIMED_OUT, export_milp, write_lp
 from photosched.experiments import ExperimentRecord, format_summary
 from photosched.instgen import equipment
 
@@ -253,6 +253,12 @@ def test_export_lp(instance_path, tmp_path, capsys):
     text = lp.read_text()
     assert text.splitlines()[1] == "Minimize"
     assert text.rstrip().endswith("End")
+
+
+def test_export_lp_without_out_or_counts_writes_the_lp_text_to_stdout(instance_path, capsys):
+    code, out, _ = run(capsys, "export-lp", str(instance_path), "--objective", "twt")
+    assert code == 0
+    assert out == write_lp(export_milp(load_instance(instance_path), Objective.TWT))
 
 
 def test_gantt(instance_path, tmp_path, capsys):

@@ -135,6 +135,12 @@ def test_instance_rejects_machine_ids_not_letters_and_digits():
         Instance(jobs=(make_job((40, 20, 75, 45, 30, 45)),), machines=machines)
 
 
+def test_instance_rejects_duplicate_machine_ids():
+    machines = tuple(equipment(2))
+    with pytest.raises(ValueError, match="duplicate machine ids"):
+        Instance(jobs=(make_job((40, 20, 75, 0, 30, 0)),), machines=machines + machines[:1])
+
+
 # The label is the LP file's comment line: a line break in it wrote an
 # `End` line ahead of `Minimize`, where an LP reader stops.
 @pytest.mark.parametrize("label", ["demo\nEnd\nx", "a\r\nb", "one\n", "a\x0bb",

@@ -49,14 +49,26 @@ def test_ready_time_delays_first_stage():
     assert sch.completion[("J1", 6)] == 355
 
 
-def test_skipped_stages_carry_completion_through():
+def test_skipped_stages_carry_completion_forward():
     inst = one_job_instance(p=(0, 20, 75, 0, 30, 0), ready=7)
     assign = {("J1", 2): "C1", ("J1", 3): "E1", ("J1", 5): "D1"}
     sch = timed(inst, assign)
     assert check_feasibility(inst, sch) == []
     assert sch.completion[("J1", 2)] == 27  # chain starts at the ready time
-    assert sch.last_completion(inst, "J1") == 132
-    assert sch.completion_through(inst, "J1", 4) == 102
+    assert sch.completion[("J1", 5)] == 132  # the job's last needed stage
+    assert sch.completion[("J1", 3)] == 102  # skipped stage 4 takes no time
+
+
+def test_a_visit_at_a_skipped_stage_is_timed_as_a_chain_of_its_own():
+    inst = one_job_instance(p=(0, 20, 75, 0, 30, 0), ready=7)
+    assign = {("J1", 2): "C1", ("J1", 3): "E1", ("J1", 4): "B1", ("J1", 5): "D1"}
+    sch = timed(inst, assign)
+    # Stage 4 takes no time and waits only on the ready time; the job's
+    # needed stages chain as if it were absent.
+    assert sch.completion == {("J1", 2): 27, ("J1", 3): 102, ("J1", 4): 7,
+                              ("J1", 5): 132}
+    assert check_feasibility(inst, sch) == [
+        Violation("ForbiddenAssign", "job J1 stage 4 assigned but needs no processing")]
 
 
 def test_two_jobs_share_a_machine_in_sequence():
@@ -68,7 +80,7 @@ def test_two_jobs_share_a_machine_in_sequence():
     assert check_feasibility(inst, sch) == []
     assert sch.completion[("J2", 2)] == 40  # waits for J1 on the only coater
     assert sch.completion[("J2", 3)] == 95 + 75  # exposes after J1 leaves E1
-    assert sch.last_completion(inst, "J2") == 200
+    assert sch.completion[("J2", 5)] == 200
 
 
 def test_unsequenced_reservations_follow_in_job_order():
@@ -93,7 +105,7 @@ def test_cluster_reservation_holds_machine_for_whole_span():
     assert check_feasibility(inst, sch) == []
     # J2 cannot enter the cluster until J1 leaves after develop.
     assert sch.start(inst, "J2", 2) == 125
-    assert sch.last_completion(inst, "J2") == 250
+    assert sch.completion[("J2", 5)] == 250
 
 
 def test_bake_stages_share_one_oven_timeline():
@@ -164,6 +176,13 @@ def test_missing_assignment_flagged():
     inst, sch = _feasible_base()
     del sch.assign[("J1", 3)]
     assert "MissingAssign" in violation_ids(inst, sch)
+
+
+def test_missing_completion_flagged():
+    inst, sch = _feasible_base()
+    del sch.completion[("J1", 3)]
+    assert check_feasibility(inst, sch) == [
+        Violation("MissingAssign", "job J1 stage 3 has no completion time")]
 
 
 def test_forbidden_machine_flagged():
@@ -239,6 +258,15 @@ def test_cluster_span_violation_flagged():
     inst, sch = _feasible_base()
     sch.assign[("J1", 3)] = "CED1"  # mid-span use without entering at coat
     assert "ClusterSpan" in violation_ids(inst, sch)
+
+
+def test_cluster_entered_but_left_early_flagged():
+    inst = one_job_instance(p=(0, 20, 75, 0, 30, 0))
+    assign = {("J1", 2): "CED1", ("J1", 3): "E1", ("J1", 5): "D1"}
+    sch = timed(inst, assign)
+    assert check_feasibility(inst, sch) == [
+        Violation("ClusterSpan", "job J1 enters CED1 at stage 2 but stage 3 is elsewhere"),
+        Violation("ClusterSpan", "job J1 enters CED1 at stage 2 but stage 5 is elsewhere")]
 
 
 def test_cluster_exclusive_violation_flagged():

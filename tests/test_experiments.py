@@ -122,6 +122,16 @@ def test_run_grid_checks_every_grid_value_before_the_first_solve(monkeypatch, ba
     assert calls == []
 
 
+@pytest.mark.parametrize("limit", [-1, float("nan")])
+def test_run_grid_checks_the_time_limit_before_the_first_solve(monkeypatch, limit):
+    calls = []
+    monkeypatch.setattr(experiments, "run_sp", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="time limit"):
+        run_grid(SMALL_GRID, [Objective.CMAX], replications=1, master_seed=7,
+                 exact_time_limit=limit)
+    assert calls == []
+
+
 def test_run_grid_without_exact():
     records = run_grid(SMALL_GRID, [Objective.WCT], replications=1,
                        master_seed=3, sp_iterations=10, run_exact=False)

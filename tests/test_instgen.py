@@ -9,7 +9,6 @@ import pytest
 from photosched.core import save_instance
 from photosched.instgen import (
     EQUIPMENT_COUNTS,
-    CmaxEstimate,
     GenConfig,
     ReadyScenario,
     _estimate_and_window,
@@ -50,14 +49,10 @@ def test_gen_processing_values_and_rates():
 
 
 def test_estimate_cmax():
-    est1 = estimate_cmax(5, equipment(1))
-    # Eleven machines can run the bottleneck expose stage in scenario 1.
-    assert est1.m_ibn == 11
-    assert est1.p_bn == 75 and est1.p_nbn == 180
-    assert est1.value == Fraction(3, 2) * (Fraction(5 * 75, 11) + 180)
-    est2 = estimate_cmax(5, equipment(2))
-    assert est2.m_ibn == 6
-    assert est2.value == Fraction(3, 2) * (Fraction(5 * 75, 6) + 180)
+    # Eleven machines can run the bottleneck expose stage (75) in scenario 1
+    # and six in scenario 2; the other stages take 180 in all.
+    assert estimate_cmax(5, equipment(1)) == Fraction(3, 2) * (Fraction(5 * 75, 11) + 180)
+    assert estimate_cmax(5, equipment(2)) == Fraction(3, 2) * (Fraction(5 * 75, 6) + 180)
 
 
 def test_round_half_up():
@@ -74,7 +69,7 @@ def test_gen_ready_zero_scenario():
 
 def test_gen_ready_mixed_scenario():
     est = estimate_cmax(10, equipment(1))
-    upper = int(Fraction(2, 3) * est.value)
+    upper = int(Fraction(2, 3) * est)
     for seed in range(50):
         ready = gen_ready(random.Random(seed), ReadyScenario.MIXED_30_70, est, 10)
         assert sum(1 for r in ready if r == 0) >= 3  # 30% released at time zero
@@ -90,7 +85,7 @@ def test_gen_ready_zero_count_rounds_half_up():
 
 
 def test_gen_due_window():
-    est = CmaxEstimate(value=Fraction(1000), p_bn=75, m_ibn=6, p_nbn=180)
+    est = Fraction(1000)
     # T = 0.3 -> mean 700; R = 0.5 -> window [525, 875].
     assert due_window(0.3, 0.5, est) == (525, 875)
     # A wide range factor clamps the lower end at zero.

@@ -163,10 +163,6 @@ def test_ga_config_validation():
     for window in (0, -1):  # run_ga would divide by the window in _stalled
         with pytest.raises(ValueError, match="stall_window"):
             GAConfig(stall_window=window)
-    for tolerance in (-1e-9, float("nan")):  # either would never stall
-        with pytest.raises(ValueError, match="stall_tolerance"):
-            GAConfig(stall_tolerance=tolerance)
-    assert GAConfig(stall_tolerance=0).stall_tolerance == 0
 
 
 # Values and schedule-CSV digests (first 16 hex digits of the SHA-256) of
