@@ -171,7 +171,10 @@ def _cmd_experiment(args) -> int:
             if key != "replications" and not (isinstance(value, list) and value):
                 raise ValueError(f"{args.grid}: grid key '{key}' must be a non-empty list")
     grid = {**DEFAULT_GRID, **grid}
-    objectives = [Objective(v) for v in grid.pop("objectives", ["cmax", "wct", "twt"])]
+    try:
+        objectives = [Objective(v) for v in grid.pop("objectives", ["cmax", "wct", "twt"])]
+    except ValueError as exc:
+        raise ValueError(f"{args.grid}: grid key 'objectives': {exc}") from None
     replications = grid.pop("replications", args.replications)
     os.makedirs(args.out, exist_ok=True)
     records = run_grid(grid, objectives, replications, args.seed,
@@ -180,7 +183,7 @@ def _cmd_experiment(args) -> int:
     save_records(records, os.path.join(args.out, "records.csv"))
     save_timings(records, os.path.join(args.out, "timings.csv"))
     for ratio in ("hr", "pr"):
-        summary = format_summary(records, grid["n"], ratio=ratio)
+        summary = format_summary(records, ratio=ratio)
         with open(os.path.join(args.out, f"summary_{ratio}.txt"), "w") as fh:
             fh.write(summary + "\n")
     print(summary)

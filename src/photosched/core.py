@@ -70,7 +70,7 @@ class Machine:
     tool_class: str
 
     def __post_init__(self):
-        if self.tool_class not in TOOL_STAGES:
+        if not (isinstance(self.tool_class, str) and self.tool_class in TOOL_STAGES):
             raise ValueError(f"unknown tool class {self.tool_class!r}")
 
     @property
@@ -343,16 +343,42 @@ def _whole(value):
     return value
 
 
+def _field(entry: dict, key: str, where: str):
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing key '{key}'") from None
+
+
+def _entries(data: dict, key: str, kind: str):
+    """Each object of the file's `key` list, with the name of the job or
+    machine it describes (its id, else its place in the list)."""
+    entries = _field(data, key, "instance file")
+    if not isinstance(entries, list):
+        raise ValueError(f"instance file: '{key}' must be a list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"instance file: {key}[{i}] must be an object, got {entry!r}")
+        yield entry, f"{kind} {entry['id']}" if "id" in entry else f"{key}[{i}]"
+
+
 def instance_from_dict(data: dict) -> Instance:
+    """The instance a file's JSON describes; ValueError naming the key,
+    job or machine of a malformed one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"instance file must be a JSON object, got {type(data).__name__}")
     if data.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported instance file version {data.get('version')!r}")
-    machines = tuple(Machine(m["id"], m["class"]) for m in data["machines"])
-    jobs = tuple(
-        Job(j["id"], tuple(map(_whole, j["p"])),
-            *(_whole(j[key]) for key in ("r", "d", "w")))
-        for j in data["jobs"]
-    )
-    return Instance(jobs=jobs, machines=machines, label=data.get("label", ""))
+    machines = tuple(Machine(_field(m, "id", where), _field(m, "class", where))
+                     for m, where in _entries(data, "machines", "machine"))
+    jobs = []
+    for j, where in _entries(data, "jobs", "job"):
+        p = _field(j, "p", where)
+        if not isinstance(p, list):
+            raise ValueError(f"{where}: p must be a list of stage times, got {p!r}")
+        jobs.append(Job(_field(j, "id", where), tuple(map(_whole, p)),
+                        *(_whole(_field(j, key, where)) for key in ("r", "d", "w"))))
+    return Instance(jobs=tuple(jobs), machines=machines, label=data.get("label", ""))
 
 
 def save_instance(instance: Instance, path) -> None:

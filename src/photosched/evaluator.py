@@ -306,7 +306,10 @@ def objective_value(instance: Instance, schedule: Schedule, kind: Objective) -> 
 
 
 # ---------------------------------------------------------------------------
-# Schedule file format: job_id,stage,machine_id,start,completion
+# Schedule file format: one CSV row per visit
+
+SCHEDULE_FIELDS = ("job_id", "stage", "machine_id", "start", "completion")
+
 
 def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
     rows = []
@@ -316,7 +319,7 @@ def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
     rows.sort()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["job_id", "stage", "machine_id", "start", "completion"])
+        writer.writerow(SCHEDULE_FIELDS)
         for mid, s, job_id, stage, c in rows:
             writer.writerow([job_id, stage, mid, s, c])
 
@@ -333,12 +336,24 @@ def load_schedule(path, instance: Optional[Instance] = None) -> Schedule:
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, int] = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [k for k in SCHEDULE_FIELDS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"schedule: missing column(s) {', '.join(missing)}")
+
+        def whole(rec, key):  # a short row's missing cells read None
+            try:
+                return int(rec[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"schedule: line {reader.line_num}: {key} must be an "
+                                 f"integer, got {rec[key]!r}") from None
+
+        for rec in reader:
             job_id = rec["job_id"]
-            stage = int(rec["stage"])
+            stage = whole(rec, "stage")
             mid = rec["machine_id"]
-            start = int(rec["start"])
-            c = int(rec["completion"])
+            start = whole(rec, "start")
+            c = whole(rec, "completion")
             if (job_id, stage) in assign:
                 raise ValueError(f"schedule: job {job_id} stage {stage} appears twice")
             p = times.get((job_id, stage))

@@ -1,4 +1,4 @@
-"""Batch experiment harness: instance grid, solver runs, PR/HR aggregation.
+"""Batch experiment harness: instance grid, solver runs, PR/HR tables.
 
 PR (performance ratio) compares a heuristic value against a proven
 optimum; HR (heuristic ratio) compares it against the best incumbent of a
@@ -50,19 +50,6 @@ class ExperimentRecord:
         return (self.n, self.ready, self.T, self.R, self.mc)
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    pattern: Tuple
-    mean: Optional[float]
-    count: int
-    excluded_zero: int = 0
-
-    def formatted(self) -> str:
-        if self.mean is None:
-            return f"N/A ({self.count})"
-        return f"{self.mean:.2f} ({self.count})"
-
-
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit seed from the master seed and a cell/replication key."""
     key = f"{master_seed}:" + ":".join(str(p) for p in parts)
@@ -77,12 +64,19 @@ def run_grid(grid: dict, objectives: Iterable[Objective], replications: int,
     """Run every (cell, replication, objective) combination deterministically.
 
     Every grid value, and the exact time limit when `run_exact`, is
-    checked (ValueError) before the first solve.
+    checked (ValueError) before the first solve.  So is a level or an
+    objective given twice, which would write duplicate records.
     Solver failures are recorded with status "failed" and the run continues;
     with `run_exact` false every record's status is "skipped".
     """
     if not (is_number(replications, numbers.Integral) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
+    objectives = list(objectives)
+    levels = [(key, grid[key]) for key in ("n", "ready", "T", "R", "equipment")]
+    for key, values in levels + [("objectives", [k.value for k in objectives])]:
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"grid key '{key}' repeats {repeated[0]!r}")
     if run_exact:
         check_time_limit(exact_time_limit)
     records: List[ExperimentRecord] = []
@@ -147,62 +141,32 @@ def heuristic_ratio(record: ExperimentRecord, solver: str = "ga") -> Optional[fl
     return _ratio(record, TIMED_OUT, solver)
 
 
-def matches(record: ExperimentRecord, pattern: Tuple) -> bool:
-    return all(p == "*" or p == v for p, v in zip(pattern, record.cell))
+def format_summary(records: List[ExperimentRecord], ratio: str = "pr") -> str:
+    """Tables-style summary of mean PR (`ratio` "pr") or HR ("hr").
 
-
-def aggregate(records: List[ExperimentRecord], pattern: Tuple,
-              objective: Objective, solver: str = "ga",
-              ratio: str = "pr") -> AggregateRow:
-    """Mean PR or HR over records matching the wildcard pattern.
-
-    Records of the ratio's exact status without a ratio (an exact value of
-    0) are counted as excluded."""
-    wanted = OPTIMAL if ratio == "pr" else TIMED_OUT
-    values = []
-    excluded = 0
-    for rec in records:
-        if rec.objective != objective.value or not matches(rec, pattern):
-            continue
-        r = _ratio(rec, wanted, solver)
-        if r is not None:
-            values.append(r)
-        elif rec.exact_status == wanted:
-            excluded += 1
-    mean = sum(values) / len(values) if values else None
-    return AggregateRow(pattern=pattern, mean=mean, count=len(values),
-                        excluded_zero=excluded)
-
-
-def summary_patterns(n: int) -> List[Tuple]:
-    return [
-        (n, "zero", "*", "*", "*"),
-        (n, "mixed", "*", "*", "*"),
-        (n, "*", 0.3, "*", "*"),
-        (n, "*", 0.6, "*", "*"),
-        (n, "*", "*", 0.5, "*"),
-        (n, "*", "*", 2.5, "*"),
-        (n, "*", "*", "*", 1),
-        (n, "*", "*", "*", 2),
-    ]
-
-
-def format_summary(records: List[ExperimentRecord], n_values: Iterable[int],
-                   ratio: str = "pr") -> str:
-    """Tables-style summary: one row per pattern, mean (count) per cell."""
+    One row per job count and level of each factor (ready, T, R, mc), in
+    the order the records first hold them; each cell is the mean (count)
+    of the solver's ratio over the row's records of one objective."""
+    status = OPTIMAL if ratio == "pr" else TIMED_OUT
     header = f"{'pattern':<24}" + "".join(
         f"{s + ' ' + k.value:>14}"
         for s in ("ga", "sp") for k in Objective)
     lines = [header]
-    for n in n_values:
-        for pattern in summary_patterns(n):
-            cells = []
-            for solver in ("ga", "sp"):
-                for kind in Objective:
-                    row = aggregate(records, pattern, kind, solver, ratio)
-                    cells.append(f"{row.formatted():>14}")
-            name = "(" + ",".join("*" if p == "*" else str(p) for p in pattern) + ")"
-            lines.append(f"{name:<24}" + "".join(cells))
+    for n in dict.fromkeys(r.n for r in records):
+        of_n = [r for r in records if r.n == n]
+        for factor in range(1, 5):
+            for level in dict.fromkeys(r.cell[factor] for r in of_n):
+                row = [r for r in of_n if r.cell[factor] == level]
+                cells = []
+                for solver in ("ga", "sp"):
+                    for kind in Objective:
+                        values = [v for r in row if r.objective == kind.value
+                                  and (v := _ratio(r, status, solver)) is not None]
+                        mean = f"{sum(values) / len(values):.2f}" if values else "N/A"
+                        cells.append(f"{mean} ({len(values)})".rjust(14))
+                name = f"({n}," + ",".join(str(level) if i == factor else "*"
+                                           for i in range(1, 5)) + ")"
+                lines.append(f"{name:<24}" + "".join(cells))
     return "\n".join(lines)
 
 

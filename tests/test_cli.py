@@ -302,8 +302,8 @@ def test_experiment_writes_both_summaries_and_prints_pr(tmp_path, capsys, monkey
     code, out, _ = run(capsys, "experiment", "--grid", str(grid), "--out", str(out_dir),
                        "--seed", "1")
     assert code == 0
-    pr = format_summary(records, [5], ratio="pr")
-    hr = format_summary(records, [5], ratio="hr")
+    pr = format_summary(records, ratio="pr")
+    hr = format_summary(records, ratio="hr")
     assert pr != hr
     assert (out_dir / "summary_pr.txt").read_text() == pr + "\n"
     assert (out_dir / "summary_hr.txt").read_text() == hr + "\n"
@@ -424,6 +424,95 @@ def test_experiment_rejects_a_fractional_equipment_level(tmp_path, capsys, monke
     assert err == "error: equipment must be an integer 1 or 2, got 1.0\n"
     assert calls == []
     assert not (out_dir / "records.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("n", [2, 2]), ("T", [0.3, 0.30]),
+                                       ("objectives", ["cmax", "cmax"])])
+def test_experiment_rejects_a_repeated_grid_level(tmp_path, capsys, key, value):
+    grid = {"n": [2], "ready": ["zero"], "T": [0.3], "R": [0.5],
+            "equipment": [2], "objectives": ["cmax"], key: value}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "exp"
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(out_dir), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: grid key '{key}' repeats ")
+    assert not (out_dir / "records.csv").exists()
+
+
+def test_experiment_names_the_key_of_an_unknown_objective(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": [2], "objectives": ["cmax", "nope"]}))
+    code, out, err = run(capsys, "experiment", "--grid", str(path),
+                         "--out", str(tmp_path / "exp"), "--seed", "13", "--no-exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'objectives'" in err and "'nope'" in err
+
+
+# Each way `_malformed` breaks a file, and what the error names.
+MALFORMED = {"list": "JSON object", "job-not-object": "jobs[0]", "p-not-list": "p must be",
+             "machines-not-list": "'machines' must be", "job-without-p": "missing key 'p'",
+             "machine-without-class": "missing key 'class'",
+             "class-not-text": "unknown tool class", "no-jobs-key": "missing key 'jobs'"}
+
+
+def _malformed(data, shape):
+    """`data`, an instance file's JSON, broken in one of several ways."""
+    job, machine = data["jobs"][0], data["machines"][0]
+    if shape == "list":
+        return [data]
+    if shape == "job-not-object":
+        data["jobs"] = [1]
+    elif shape == "p-not-list":
+        job["p"] = 5
+    elif shape == "machines-not-list":
+        data["machines"] = "S1"
+    elif shape == "job-without-p":
+        del job["p"]
+    elif shape == "machine-without-class":
+        del machine["class"]
+    elif shape == "class-not-text":
+        machine["class"] = ["S"]
+    elif shape == "no-jobs-key":
+        del data["jobs"]
+    return data
+
+
+# Each used to end in a traceback (AttributeError or TypeError) or in a
+# bare key such as "error: 'p'"; an unhashable class, in a TypeError.
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_solve_rejects_a_malformed_instance_file(instance_path, capsys, shape):
+    named = MALFORMED[shape]
+    data = json.loads(instance_path.read_text())
+    owner = {"p-not-list": f"job {data['jobs'][0]['id']}",
+             "job-without-p": f"job {data['jobs'][0]['id']}",
+             "machine-without-class": f"machine {data['machines'][0]['id']}"}.get(shape, "")
+    instance_path.write_text(json.dumps(_malformed(data, shape)))
+    code, out, err = run(capsys, "solve", str(instance_path), "--alg", "sp")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err and owner in err
+
+
+# A missing column used to print only "error: 'machine_id'"; a short row
+# ended in a TypeError traceback.
+@pytest.mark.parametrize("text,error", [
+    ("job_id,stage,start,completion\nJ1,1,0,40\n",
+     "error: schedule: missing column(s) machine_id\n"),
+    ("job_id,stage,machine_id,start,completion\nJ1,1,S1\n",
+     "error: schedule: line 2: start must be an integer, got None\n"),
+    ("job_id,stage,machine_id,start,completion\nJ1,x,S1,0,40\n",
+     "error: schedule: line 2: stage must be an integer, got 'x'\n")],
+    ids=["missing-column", "short-row", "not-an-integer"])
+def test_evaluate_rejects_a_malformed_schedule_file(instance_path, tmp_path, capsys,
+                                                    text, error):
+    sched = tmp_path / "sched.csv"
+    sched.write_text(text)
+    code, out, err = run(capsys, "evaluate", str(sched), str(instance_path))
+    assert code == 1 and out == ""
+    assert err == error
 
 
 def test_missing_file_exits_one(capsys):

@@ -1,4 +1,4 @@
-"""Experiment harness: seeds, grids, ratios, aggregation, record files."""
+"""Experiment harness: seeds, grids, ratios, summary tables, record files."""
 
 from types import SimpleNamespace
 
@@ -8,18 +8,14 @@ from photosched import exact, experiments
 from photosched.core import Objective
 from photosched.experiments import (
     FAILED,
-    AggregateRow,
     ExperimentRecord,
-    aggregate,
     derive_seed,
     format_summary,
     heuristic_ratio,
-    matches,
     performance_ratio,
     run_grid,
     save_records,
     save_timings,
-    summary_patterns,
 )
 
 SMALL_GRID = {"n": [2, 3], "ready": ["zero"], "T": [0.3], "R": [0.5],
@@ -56,15 +52,13 @@ def test_heuristic_ratio_rules():
     assert heuristic_ratio(record(exact_status="timeout", of_exact=0)) is None
 
 
-def test_matches_wildcards():
-    r = record()
-    assert matches(r, (5, "zero", 0.3, 0.5, 1))
-    assert matches(r, (5, "*", "*", "*", "*"))
-    assert matches(r, ("*", "*", 0.3, "*", 1))
-    assert not matches(r, (5, "mixed", "*", "*", "*"))
+def summary_rows(records, ratio="pr"):
+    """Each table row's name and its six cells."""
+    return {line[:24].strip(): [line[24 + 14 * i:38 + 14 * i].strip() for i in range(6)]
+            for line in format_summary(records, ratio=ratio).splitlines()[1:]}
 
 
-def test_aggregate_means_and_exclusions():
+def test_summary_means_and_exclusions():
     records = [
         record(rep=1, of_ga=102),
         record(rep=2, of_ga=106),
@@ -72,21 +66,20 @@ def test_aggregate_means_and_exclusions():
         record(rep=4, exact_status="timeout"),  # not an optimal record
         record(rep=5, objective="twt"),         # other objective
     ]
-    row = aggregate(records, (5, "*", "*", "*", "*"), Objective.CMAX)
-    assert row.count == 2
-    assert row.mean == (1.02 + 1.06) / 2
-    assert row.excluded_zero == 1
-    assert row.formatted() == "1.04 (2)"
-    empty = aggregate(records, (7, "*", "*", "*", "*"), Objective.CMAX)
-    assert empty.mean is None
-    assert empty.formatted() == "N/A (0)"
+    ga_cmax, ga_wct, ga_twt = summary_rows(records)["(5,zero,*,*,*)"][:3]
+    assert ga_cmax == "1.04 (2)"
+    assert ga_wct == "N/A (0)"
+    assert ga_twt == "1.10 (1)"
 
 
-def test_summary_patterns_cover_factor_levels():
-    patterns = summary_patterns(5)
-    assert len(patterns) == 8
-    assert (5, "zero", "*", "*", "*") in patterns
-    assert (5, "*", "*", "*", 2) in patterns
+def test_summary_rows_follow_the_records_levels():
+    records = [record(), record(ready="mixed", T=0.2, R=1.0, mc=2),
+               record(n=7, T=0.9), record(T=0.2, rep=2)]
+    assert list(summary_rows(records)) == [
+        "(5,zero,*,*,*)", "(5,mixed,*,*,*)", "(5,*,0.3,*,*)", "(5,*,0.2,*,*)",
+        "(5,*,*,0.5,*)", "(5,*,*,1.0,*)", "(5,*,*,*,1)", "(5,*,*,*,2)",
+        "(7,zero,*,*,*)", "(7,*,0.9,*,*)", "(7,*,*,0.5,*)", "(7,*,*,*,1)"]
+    assert summary_rows(records)["(5,*,0.2,*,*)"][0] == "1.10 (2)"
 
 
 def test_run_grid_shape_and_determinism():
@@ -119,6 +112,23 @@ def test_run_grid_checks_every_grid_value_before_the_first_solve(monkeypatch, ba
     with pytest.raises(ValueError, match=error):
         run_grid({**SMALL_GRID, **bad}, [Objective.CMAX], replications=2,
                  master_seed=7, run_exact=False)
+    assert calls == []
+
+
+# A repeated level or objective used to write identical duplicate records,
+# which the summary tables then counted twice.
+@pytest.mark.parametrize("bad,kinds,key", [({"n": [2, 2]}, [Objective.CMAX], "n"),
+                                           ({"T": [0.3, 0.30]}, [Objective.CMAX], "T"),
+                                           ({}, [Objective.CMAX, Objective.CMAX],
+                                            "objectives")],
+                         ids=["n", "T", "objectives"])
+def test_run_grid_rejects_repeated_levels_before_the_first_solve(monkeypatch, bad, kinds,
+                                                                 key):
+    calls = []
+    monkeypatch.setattr(experiments, "run_sp", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"grid key '{key}' repeats"):
+        run_grid({**SMALL_GRID, **bad}, kinds, replications=1, master_seed=7,
+                 run_exact=False)
     assert calls == []
 
 
@@ -163,18 +173,18 @@ def test_timings_rows_carry_the_record_key(tmp_path):
 
 def test_format_summary_layout():
     records = [record(), record(objective="twt", of_exact=0)]
-    text = format_summary(records, [5])
+    text = format_summary(records)
     lines = text.splitlines()
-    assert len(lines) == 9  # header + eight patterns
+    assert len(lines) == 5  # header + one row per factor's one level
     assert "ga cmax" in lines[0] and "sp twt" in lines[0]
     assert "(5,zero,*,*,*)" in lines[1]
     assert "1.10 (1)" in lines[1]
     assert "N/A" in lines[1]  # the zero-optimum record is excluded
 
 
-def test_aggregate_row_formatting():
-    assert AggregateRow(("*",), 1.005, 12).formatted() == "1.00 (12)"
-    assert AggregateRow(("*",), None, 0).formatted() == "N/A (0)"
+def test_summary_cell_formatting():
+    records = [record(rep=i, of_ga=1005, of_exact=1000) for i in range(12)]
+    assert summary_rows(records)["(5,zero,*,*,*)"][:2] == ["1.00 (12)", "N/A (0)"]
 
 
 def test_solver_error_is_recorded_as_failed(monkeypatch):

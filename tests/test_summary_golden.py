@@ -111,3 +111,16 @@ def test_default_grid_summaries_match_the_golden_text(tmp_path, capsys, monkeypa
     assert any(r.of_exact == 0 for r in records)
     assert summaries(tmp_path, capsys, monkeypatch, records) == {
         "pr": GOLDEN_PR, "hr": GOLDEN_HR}
+
+
+def test_rows_follow_the_grid_levels_the_records_hold(tmp_path, capsys, monkeypatch):
+    # The rows used to be fixed to the default levels: this grid printed
+    # rows for T 0.3/0.6 and R 0.5/2.5, all N/A, and none for T 0.2 or R 1.0.
+    grid = {"n": [5], "ready": ["zero"], "T": [0.2], "R": [1.0], "equipment": [2],
+            "objectives": ["cmax"]}
+    records = [ExperimentRecord(5, "zero", 0.2, 1.0, 2, rep, "cmax", 120, 110, 100,
+                                "optimal") for rep in (1, 2)]
+    text = summaries(tmp_path, capsys, monkeypatch, records, grid)["pr"]
+    names = [line.split()[0] for line in text.splitlines()[1:]]
+    assert names == ["(5,zero,*,*,*)", "(5,*,0.2,*,*)", "(5,*,*,1.0,*)", "(5,*,*,*,2)"]
+    assert all("1.10 (2)" in line for line in text.splitlines()[1:])
