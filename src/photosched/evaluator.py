@@ -336,24 +336,33 @@ def load_schedule(path, instance: Optional[Instance] = None) -> Schedule:
     assign: Dict[Visit, str] = {}
     completion: Dict[Visit, int] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [k for k in SCHEDULE_FIELDS if k not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        # Each column's position; a repeated header names its last column.
+        position = {key: i for i, key in enumerate(next(reader, ()))}
+        missing = [k for k in SCHEDULE_FIELDS if k not in position]
         if missing:
             raise ValueError(f"schedule: missing column(s) {', '.join(missing)}")
+        at = [position[k] for k in SCHEDULE_FIELDS]
+        width = max(at) + 1
 
-        def whole(rec, key):  # a short row's missing cells read None
+        def whole(cell, key):
             try:
-                return int(rec[key])
+                return int(cell)
             except (TypeError, ValueError):
                 raise ValueError(f"schedule: line {reader.line_num}: {key} must be an "
-                                 f"integer, got {rec[key]!r}") from None
+                                 f"integer, got {cell!r}") from None
 
-        for rec in reader:
-            job_id = rec["job_id"]
-            stage = whole(rec, "stage")
-            mid = rec["machine_id"]
-            start = whole(rec, "start")
-            c = whole(rec, "completion")
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) < width:  # a short row's missing cells read None
+                row += [None] * (width - len(row))
+            job_id, stage, mid, start, c = map(row.__getitem__, at)
+            try:
+                stage, start, c = int(stage), int(start), int(c)
+            except (TypeError, ValueError):  # name the first cell that is no integer
+                for key, cell in (("stage", stage), ("start", start), ("completion", c)):
+                    whole(cell, key)
             if (job_id, stage) in assign:
                 raise ValueError(f"schedule: job {job_id} stage {stage} appears twice")
             p = times.get((job_id, stage))

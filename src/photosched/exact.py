@@ -4,7 +4,13 @@
 shared precedence binaries per job pair, assignment binaries per eligible
 (stage, machine) pair, completion variables per (stage, job).  Models are
 built a row family at a time, as numpy blocks over integer columns
-(`MilpModel`).
+(`MilpModel`).  Everything of the literal model but its numbers depends
+only on the machine park, the job ids and the objective, so that layout
+is built once per (park, ids, objective) and cached (`_literal_layout`,
+16 layouts, least recently used dropped first; one takes about 25 KiB at
+n = 2, 100 KiB at n = 5, 0.8 MiB at n = 15 and 2.2 MiB at n = 25 on park
+1).  Each `export_milp` call fills in the instance's numbers: big-M, the
+stage, ready and due times, the needed stages and the job weights.
 
 `solve_exact` optimizes a relaxation of that model in which precedence
 binaries are indexed per machine reservation pair, so that different
@@ -25,19 +31,21 @@ without a HiGHS call.
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
+from functools import lru_cache, partial
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .core import (
     CLUSTER_BARS,
     CLUSTER_ENTRY,
+    STAGE_CLASSES,
     STAGES,
     TOOL_STAGES,
     Instance,
     Job,
+    Machine,
     Objective,
     big_m,
-    eligible_machines,
 )
 from .decoder import decoder_for
 from .evaluator import (
@@ -103,12 +111,17 @@ class MilpModel:
     Rows are added one family at a time as `Rows` blocks and keep that
     order.  Each family names its rows on demand, since only the LP text,
     `constraints` and a failed check read them.  `weights` holds the
-    objective by column (`_add_objective_link` sets it).  `joined` puts the
+    objective by column (`_objective_weights` fills it).  `joined` puts the
     blocks end to end, and `constraints` reads them back with variable names.
     `placements()` lists, per assignment column, what it places when it is
     1: (column, machine id, job id, the stages it holds the machine for, the
     job's completion columns by stage - 1).  A solve reads its solution
     through them and parses no name.
+
+    `export_milp`'s models share their column arrays and placements with
+    every model of the same park, job ids and objective, through the
+    cached layout; their lists and weights are their own, and every array
+    of their blocks is read-only.
     """
 
     name: str
@@ -119,7 +132,7 @@ class MilpModel:
     big_m: int = 0
     blocks: List[Rows] = field(default_factory=list)
     row_namers: List[Callable[[], List[str]]] = field(default_factory=list)
-    placements: Optional[Callable[[], List[tuple]]] = None  # set by each builder
+    placements: Optional[Callable[[], Sequence[tuple]]] = None  # set by each builder
 
     @property
     def names(self) -> List[str]:
@@ -213,14 +226,22 @@ def _names(groups, tags) -> List[str]:
 # column, processing time at entry).
 Reservation = Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
 
+# An either-order pair's coefficients are `_EITHER_COEFS` plus big-M times
+# `_EITHER_M_COEFS`, and its two bounds subtract big-M times `_EITHER_SHIFT`.
+_EITHER_COEFS = ((1, -1, 0, 0, 0), (1, -1, 0, 0, 0))
+_EITHER_M_COEFS = ((0, 0, 1, -1, -1), (0, 0, -1, -1, -1))
+_EITHER_SHIFT = (2, 3)
 
-def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
-    """The big-M pairs keeping reservations of one machine apart.
+
+def _either_pairs(y, first: Reservation, second: Reservation):
+    """The columns of the big-M pairs keeping reservations of one machine
+    apart, and the processing times their bounds start from.
 
     For each pair of reservations (`y` and both broadcast together), two
     rows on a new axis before the terms: `first` starts after `second`
     ends when y = 0, then `second` starts after `first` ends when y = 1;
-    both are slack unless both assignment columns are 1.
+    both are slack unless both assignment columns are 1.  The times (one
+    per row) are `first`'s, then `second`'s entry time.
     """
     import numpy as np
     (ck, dk, xk, pk), (cl, dl, xl, pl) = first, second
@@ -228,136 +249,244 @@ def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
     cols = np.empty(shape + (10,), np.int64)
     for t, col in enumerate((ck, dl, y, xk, xl, cl, dk, y, xk, xl)):
         cols[..., t] = col
-    rhs = np.empty(shape + (2,))
-    rhs[..., 0] = pk - 2 * M
-    rhs[..., 1] = pl - 3 * M
-    return _rows(cols.reshape(shape + (2, 5)),
-                 [[1, -1, M, -M, -M], [1, -1, -M, -M, -M]], ">=", rhs)
+    times = np.empty(shape + (2,), np.int64)
+    times[..., 0] = pk
+    times[..., 1] = pl
+    return cols.reshape(shape + (2, 5)), times
 
 
-def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
-               C: "np.ndarray", p: "np.ndarray", ready) -> None:
-    """Each job's ready row at its first stage and a chain row per later one.
+def _either_order(M: int, y, first: Reservation, second: Reservation) -> Rows:
+    """`_either_pairs`' rows for big-M `M`."""
+    import numpy as np
+    cols, times = _either_pairs(y, first, second)
+    return _rows(cols, np.add(_EITHER_COEFS, np.multiply(M, _EITHER_M_COEFS)), ">=",
+                 times - np.multiply(M, _EITHER_SHIFT))
 
-    `C` and `p` hold the jobs' completion columns and times along `stages`.
-    """
+
+def _chain(stages: Tuple[int, ...], C: "np.ndarray"):
+    """Columns, coefficients and name tags of each job's ready row at its
+    first stage and a chain row per later one; `C` holds the jobs'
+    completion columns along `stages`."""
     import numpy as np
     cols = np.empty(C.shape + (2,), np.int64)
     cols[..., 0] = C
     cols[:, 0, 1] = 0  # the ready row has no predecessor: coefficient 0
     cols[:, 1:, 1] = C[:, :-1]
+    return (cols, [[1, 0]] + [[1, -1]] * (len(stages) - 1),
+            ["ready_"] + [f"chain_{s}_" for s in stages[1:]])
+
+
+def _add_chain(model: MilpModel, job_ids: List[str], stages: Tuple[int, ...],
+               C: "np.ndarray", p: "np.ndarray", ready) -> None:
+    """Add `_chain`'s rows; `p` holds the jobs' times along `stages`."""
+    import numpy as np
+    cols, coefs, tags = _chain(stages, C)
     rhs = np.array(p, float)
     rhs[:, 0] += ready
-    tags = ["ready_"] + [f"chain_{s}_" for s in stages[1:]]
-    coefs = [[1, 0]] + [[1, -1]] * (len(stages) - 1)
     model.add_rows(partial(_names, [tags], job_ids), _rows(cols, coefs, ">=", rhs))
 
 
-def _add_objective_link(model: MilpModel, jobs, last, cmax, tardy) -> None:
-    """Weight CMAX (cmax), the jobs' completion columns `last` (wct) or T columns `tardy`
-    (twt) in the objective; add the rows CMAX >= C (cmax) or T >= C - due (twt)."""
+def _objective_link(kind: Objective, last, cmax, tardy):
+    """The objective's weighted columns: CMAX `cmax` (cmax), or per job its
+    completion column `last` (wct) or its T column `tardy` (twt).  Then, for
+    cmax and twt, the name prefix and columns of the link rows CMAX >= C or
+    T >= C - due (else None, None)."""
     import numpy as np
-    weights = [float(j.weight) for j in jobs]
-    if model.kind == Objective.CMAX:
-        model.weights[cmax] = 1.0
-        prefix, top, rhs = "cmax_link_", cmax, 0
-    elif model.kind == Objective.TWT:
-        model.weights.update(zip(np.ravel(tardy).tolist(), weights))
-        prefix, top, rhs = "tardy_", tardy, [-j.due for j in jobs]
+    if kind == Objective.CMAX:
+        weighted, prefix, top = [cmax], "cmax_link_", cmax
+    elif kind == Objective.TWT:
+        weighted, prefix, top = np.ravel(tardy).tolist(), "tardy_", tardy
     else:
-        model.weights.update(zip(np.ravel(last).tolist(), weights))
-        return
-    cols = np.empty((len(jobs), 2), np.int64)
+        return np.ravel(last).tolist(), None, None
+    cols = np.empty((np.size(last), 2), np.int64)
     cols[:, 0] = top
     cols[:, 1] = last
-    model.add_rows(partial(_names, [(prefix,)], [j.id for j in jobs]),
-                   _rows(cols, (1, -1), ">=", rhs))
+    return weighted, prefix, cols
+
+
+def _objective_weights(kind: Objective, weighted, jobs) -> Dict[int, float]:
+    """`_objective_link`'s columns by weight: 1 (cmax) or the jobs' weights."""
+    return dict(zip(weighted, [1.0] if kind == Objective.CMAX
+                    else [float(job.weight) for job in jobs]))
+
+
+def _add_objective_link(model: MilpModel, jobs, last, cmax, tardy) -> None:
+    """Weight `_objective_link`'s columns in the objective and add its rows."""
+    weighted, prefix, cols = _objective_link(model.kind, last, cmax, tardy)
+    model.weights.update(_objective_weights(model.kind, weighted, jobs))
+    if prefix is not None:
+        rhs = 0 if model.kind == Objective.CMAX else [-j.due for j in jobs]
+        model.add_rows(partial(_names, [(prefix,)], [j.id for j in jobs]),
+                       _rows(cols, (1, -1), ">=", rhs))
 
 
 # ---------------------------------------------------------------------------
 # Literal formulation (shared precedence binaries), used for export and
 # for the order-consistent re-solve
 
-def export_milp(instance: Instance, kind: Objective) -> MilpModel:
-    """Build the big-M formulation as a literal linear model.
+# `_numbers` starts with these four constants.
+_NEG_INF, _INF, _ZERO, _ONE = range(4)
+
+
+def _numbers(jobs) -> "np.ndarray":
+    """An instance's numbers that the literal model's bounds read, by index:
+    -inf, inf, 0 and 1, then p[j, s - 1] by job and stage, each job's ready
+    time plus p[j, 0], each job's -due, and 1 where p[j, s - 1] > 0 else 0."""
+    import numpy as np
+    p = [t for job in jobs for t in job.p]
+    return np.array([-np.inf, np.inf, 0, 1] + p
+                    + [job.ready + job.p[0] for job in jobs]
+                    + [-job.due for job in jobs] + [t > 0 for t in p], float)
+
+
+class _Template(NamedTuple):
+    """Rows whose numbers an instance fills in: row i sums `coefs[i]` plus
+    M times `m_coefs[i]` times the columns `cols[i]`, between `_numbers`'
+    entries `lower[i]` and `upper[i]`, each less M times `shift[i]`, for
+    the instance's big-M M.  Axes as in `Rows`."""
+    cols: "np.ndarray"
+    coefs: "np.ndarray"
+    m_coefs: "np.ndarray"
+    lower: "np.ndarray"
+    upper: "np.ndarray"
+    shift: "np.ndarray"
+
+
+def _template(cols, coefs, sense: str, at, m_coefs=0, shift=0) -> _Template:
+    """Rows over `cols` like `_rows`, against the numbers at `at` less
+    `shift` times big-M, with `coefs` plus `m_coefs` times big-M (all
+    broadcast)."""
+    import numpy as np
+    cols = np.asarray(cols)
+    rows = cols.shape[:-1]
+    return _Template(cols, *(np.broadcast_to(a, cols.shape) for a in (coefs, m_coefs)),
+                     *(np.broadcast_to(a, rows) for a in (_NEG_INF if sense == "<=" else at,
+                                                           _INF if sense == ">=" else at,
+                                                           shift)))
+
+
+def _either_template(y, first: Reservation, second: Reservation) -> _Template:
+    """`_either_pairs`' rows, with each reservation's time an index into
+    `_numbers`."""
+    cols, at = _either_pairs(y, first, second)
+    return _template(cols, _EITHER_COEFS, ">=", at, _EITHER_M_COEFS, _EITHER_SHIFT)
+
+
+class _Layout(NamedTuple):
+    """What the literal model of one park, job id list and objective fixes.
+
+    Every row's terms and bounds lie end to end over all families, as
+    flat read-only arrays filled in as `_Template` says; `families` holds
+    per family its row namer (None for the assignment rows, whose names
+    read each job's needs), its columns (rows x terms, read-only) and the
+    slices of the flat arrays holding its rows and its terms.
+    """
+    continuous: Tuple[str, ...]
+    binary: Tuple[str, ...]
+    weighted: Tuple[int, ...]  # `_objective_link`'s columns
+    placements: Tuple[tuple, ...]
+    served: Tuple[int, ...]  # the stages of the assignment rows
+    families: Tuple[Tuple[Optional[Callable[[], List[str]]], "np.ndarray", slice, slice], ...]
+    coefs: "np.ndarray"
+    m_coefs: "np.ndarray"
+    lower: "np.ndarray"
+    upper: "np.ndarray"
+    shift: "np.ndarray"
+
+
+@lru_cache(maxsize=16)
+def _literal_layout(machines: Tuple[Machine, ...], job_ids: Tuple[str, ...],
+                    kind: Objective) -> _Layout:
+    """The literal model's layout for a park (machine order included), the
+    job ids in order and the objective.
 
     Each row family is one block over tables of columns: C[j, s - 1] per
     job and stage, X[q, j] per (stage, eligible machine) slot and job, and
-    Y[i] per job pair K[i] < L[i].
+    Y[i] per job pair K[i] < L[i].  Its numbers are indices into
+    `_numbers`: P[j, s - 1] for p[j, s - 1], START[j] for ready + p[j, 0],
+    DUE[j] for -due and NEED[j, s - 1] for the need of stage s.
     """
     import numpy as np
-    M = big_m(instance)
-    model = MilpModel(name=instance.label or "photolith", kind=kind, big_m=M)
-    jobs = instance.jobs
-    ids = [job.id for job in jobs]
-    n = len(jobs)
-    p = np.array([job.p for job in jobs])  # p[j, s - 1]
+    ids = list(job_ids)
+    n = len(ids)
+    P = _ONE + 1 + np.arange(n * len(STAGES)).reshape(n, len(STAGES))
+    START = _ONE + 1 + P.size + np.arange(n)
+    DUE = START + n
+    NEED = P + P.size + 2 * n
+    families: List[Tuple[Optional[Callable[[], List[str]]], _Template]] = []
 
     # Continuous columns: C by job and stage, CMAX, then (twt) tardiness.
     C = np.arange(n * len(STAGES)).reshape(n, len(STAGES))
     # (Names are prefix + job id: the job id ends every variable name.)
-    model.continuous = _names([[_cvar(s, "") for s in STAGES]], ids) + ["CMAX"]
+    continuous = _names([[_cvar(s, "") for s in STAGES]], ids) + ["CMAX"]
     cmax = C.size
     tardy = cmax + 1 + np.arange(n)
     if kind == Objective.TWT:
-        model.continuous += [f"T_{j}" for j in ids]
+        continuous += [f"T_{j}" for j in ids]
 
     # Binary columns: X, then Y; y = 1 puts K[i] first.
-    stage_machines = {s: eligible_machines(instance, s) for s in STAGES}
+    stage_machines = {s: [m for m in machines if m.tool_class in STAGE_CLASSES[s]]
+                      for s in STAGES}
     slots = [(s, m.id) for s in STAGES for m in stage_machines[s]]
     slot = {sm: q for q, sm in enumerate(slots)}
-    X = len(model.continuous) + np.arange(len(slots) * n).reshape(len(slots), n)
+    X = len(continuous) + np.arange(len(slots) * n).reshape(len(slots), n)
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     K, L = np.array(pairs, np.int64).reshape(-1, 2).T
-    Y = len(model.continuous) + X.size + np.arange(len(pairs))
+    Y = len(continuous) + X.size + np.arange(len(pairs))
     pair_tags = [f"{ids[k]}_{ids[l]}" for k, l in pairs]
-    model.binary = (_names([(_xvar(s, mid, ""),) for s, mid in slots], ids)
-                    + [_yvar(ids[k], ids[l]) for k, l in pairs])
+    binary = (_names([(_xvar(s, mid, ""),) for s, mid in slots], ids)
+              + [_yvar(ids[k], ids[l]) for k, l in pairs])
     # X[q, j] places job j at slot q's stage alone (stay rows tie a cluster's slots).
-    model.placements = lambda: [
-        (col, mid, job_id, (s,), done)
-        for job_id, done, cols in zip(ids, C.tolist(), X.T.tolist())
-        for (s, mid), col in zip(slots, cols)]
+    placements = tuple((col, mid, job_id, (s,), done)
+                       for job_id, done, cols in zip(ids, map(tuple, C.tolist()),
+                                                     X.T.tolist())
+                       for (s, mid), col in zip(slots, cols))
 
-    _add_chain(model, ids, STAGES, C, p, [job.ready for job in jobs])
+    cols, coefs, tags = _chain(STAGES, C)
+    at = P.copy()
+    at[:, 0] = START
+    families.append((partial(_names, [tags], ids), _template(cols, coefs, ">=", at)))
 
     # Machine exclusivity at every stage on every eligible machine.
     at = np.array([s - 1 for s, _ in slots], np.int64)
-    held = (C[:, at].T, C[:, at].T, X, p[:, at].T)  # by (slot, job)
-    model.add_rows(
+    held = (C[:, at].T, C[:, at].T, X, P[:, at].T)  # by (slot, job)
+    families.append((
         lambda: _names([(f"no_clash_a_{s}_{mid}_", f"no_clash_b_{s}_{mid}_")
                         for s, mid in slots], pair_tags),
-        _either_order(M, Y, tuple(a[:, K] for a in held), tuple(a[:, L] for a in held)))
+        _either_template(Y, tuple(a[:, K] for a in held), tuple(a[:, L] for a in held))))
 
-    _add_objective_link(model, jobs, C[:, -1], cmax, tardy)
+    weighted, prefix, cols = _objective_link(kind, C[:, -1], cmax, tardy)
+    if prefix is not None:
+        families.append((partial(_names, [(prefix,)], ids),
+                         _template(cols, (1, -1), ">=",
+                                   _ZERO if kind == Objective.CMAX else DUE)))
 
     # One machine per needed stage, none per skipped one.
     served = [s for s in STAGES if stage_machines[s]]
     options = [[slot[s, m.id] for m in stage_machines[s]] for s in served]
     width = max(map(len, options))
-    model.add_rows(lambda: [f"assign_{'on' if job.needs(s) else 'off'}_{s}_{job.id}"
-                            for s in served for job in jobs],
-                   _rows(X[[q + [0] * (width - len(q)) for q in options]].transpose(0, 2, 1),
-                         [[[1] * len(q) + [0] * (width - len(q))] for q in options], "=",
-                         p.T[[s - 1 for s in served]] > 0))
+    families.append((None, _template(
+        X[[q + [0] * (width - len(q)) for q in options]].transpose(0, 2, 1),
+        [[[1] * len(q) + [0] * (width - len(q))] for q in options], "=",
+        NEED.T[[s - 1 for s in served]])))
 
     # Per cluster machine, widest span first: its stay equalities (x at
     # each linked stage equals x at entry), then its whole-span busy pairs.
     clusters = sorted(CLUSTER_ENTRY, key=lambda cls: -len(TOOL_STAGES[cls]))
-    cells = [m for cls in clusters for m in instance.machines_of_class(cls)]
+    cells = [m for cls in clusters for m in machines if m.tool_class == cls]
     if cells:
         spans = [TOOL_STAGES[m.tool_class] for m in cells]
         covered = [[slot[s, m.id] for s in span] for m, span in zip(cells, spans)]
         entry = np.array([span[0] - 1 for span in spans], np.int64)
         held = (C[:, entry].T, C[:, [span[-1] - 1 for span in spans]].T,
-                X[[q[0] for q in covered]], p[:, entry].T)  # by (machine, job)
-        busy = _either_order(M, Y, tuple(a[:, K] for a in held),
-                             tuple(a[:, L] for a in held))
+                X[[q[0] for q in covered]], P[:, entry].T)  # by (machine, job)
+        busy = _either_template(Y, tuple(a[:, K] for a in held),
+                                tuple(a[:, L] for a in held))
         width = busy.cols.shape[-1]
         at = np.array([q + [0] * (width - len(q)) for q in covered])
-        stay = _rows(X[at].transpose(0, 2, 1),
-                     [[[1 - len(q)] + [1] * (len(q) - 1) + [0] * (width - len(q))]
-                      for q in covered], "=", 0)
+        stay = _template(X[at].transpose(0, 2, 1),
+                         [[[1 - len(q)] + [1] * (len(q) - 1) + [0] * (width - len(q))]
+                          for q in covered], "=", _ZERO)
 
         def names():
             out = []
@@ -367,9 +496,9 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
                 out += _names([(f"busy_{c}_a_{m.id}_", f"busy_{c}_b_{m.id}_")], pair_tags)
             return out
 
-        model.add_rows(names, Rows(*(
+        families.append((names, _Template(*(
             np.concatenate([s, b.reshape(s.shape[:1] + (2 * len(pairs),) + s.shape[2:])], 1)
-            for s, b in zip(stay, busy))))
+            for s, b in zip(stay, busy)))))
 
     # A job needing a stage that bars a cluster (the pre-develop bake) may
     # not enter it.
@@ -379,23 +508,76 @@ def export_milp(instance: Instance, kind: Objective) -> MilpModel:
         cols = np.empty((len(bakes), len(barred), n, 2), np.int64)
         cols[..., 0] = X[[slot[bar, o.id] for o in bakes]][:, None]
         cols[..., 1] = X[[slot[CLUSTER_ENTRY[mc.tool_class], mc.id] for mc in barred]]
-        model.add_rows(partial(_names, [(f"bake_route_{o.id}_{mc.id}_",)
-                                        for o in bakes for mc in barred], ids),
-                       _rows(cols, 1, "<=", 1))
+        families.append((partial(_names, [(f"bake_route_{o.id}_{mc.id}_",)
+                                           for o in bakes for mc in barred], ids),
+                         _template(cols, 1, "<=", _ONE)))
 
     # Oven reentry: stage-4 and stage-6 visits share one timeline.  Per
     # oven and pair: k at 4 against l at 6 (rows a, b), then k at 6
     # against l at 4 (rows c, d).
-    ovens = instance.machines_of_class("B")
+    ovens = [m for m in machines if m.tool_class == "B"]
     if ovens:
         x46 = X[[[slot[s, o.id] for s in (4, 6)] for o in ovens]].transpose(0, 2, 1)
-        c46, p46 = C[:, [3, 5]], p[:, [3, 5]]  # by (job, stage 4 / 6)
-        model.add_rows(
+        c46, p46 = C[:, [3, 5]], P[:, [3, 5]]  # by (job, stage 4 / 6)
+        families.append((
             lambda: _names([tuple(f"reentry_{t}_{o.id}_" for t in "abcd") for o in ovens],
                            pair_tags),
-            _either_order(M, Y[:, None], (c46[K], c46[K], x46[:, K], p46[K]),
-                          (c46[L, ::-1], c46[L, ::-1], x46[:, L, ::-1], p46[L, ::-1])))
-    return model
+            _either_template(Y[:, None], (c46[K], c46[K], x46[:, K], p46[K]),
+                             (c46[L, ::-1], c46[L, ::-1], x46[:, L, ::-1], p46[L, ::-1]))))
+
+    # The families end to end: each copied once into flat arrays, which are
+    # then made read-only (and so is every view of them taken after).  The
+    # coefficients and big-M shifts are small integers, kept narrow since the
+    # cache holds them.
+    namers, templates = zip(*families)
+    rows = np.cumsum([0] + [t.lower.size for t in templates]).tolist()
+    terms = np.cumsum([0] + [t.cols.size for t in templates]).tolist()
+    spans = [(slice(r0, r1), slice(t0, t1))
+             for r0, r1, t0, t1 in zip(rows, rows[1:], terms, terms[1:])]
+    flat = [np.empty(size, dtype) for size, dtype in zip(
+        [terms[-1]] * 3 + [rows[-1]] * 3, (np.int64, np.int8, np.int8, np.intp, np.intp,
+                                           np.int8))]
+    for t, (by_row, by_term) in zip(templates, spans):
+        for out, a, span in zip(flat, t, (by_term,) * 3 + (by_row,) * 3):
+            np.copyto(out[span].reshape(a.shape), a)
+    for a in flat:
+        a.flags.writeable = False
+    families = tuple((names, flat[0][by_term].reshape(-1, t.cols.shape[-1]), by_row, by_term)
+                     for names, t, (by_row, by_term) in zip(namers, templates, spans))
+    return _Layout(tuple(continuous), tuple(binary), tuple(weighted), placements, tuple(served),
+                   families, *flat[1:])
+
+
+def export_milp(instance: Instance, kind: Objective) -> MilpModel:
+    """Build the big-M formulation as a literal linear model: the cached
+    `_literal_layout` of the instance's park, job ids and objective, filled
+    in with the instance's numbers."""
+    jobs = instance.jobs
+    layout = _literal_layout(instance.machines, tuple(job.id for job in jobs), kind)
+    M = big_m(instance)
+    numbers = _numbers(jobs)
+    offset = layout.shift * float(M)
+    coefs = layout.m_coefs.astype(float)  # cast first: an int8 ufunc loop is slower
+    coefs *= M
+    coefs += layout.coefs
+    lower = numbers[layout.lower] - offset
+    upper = numbers[layout.upper] - offset
+    for a in (coefs, lower, upper):
+        a.flags.writeable = False
+    served = layout.served
+
+    def assign_names():
+        return [f"assign_{'on' if job.needs(s) else 'off'}_{s}_{job.id}"
+                for s in served for job in jobs]
+
+    return MilpModel(
+        name=instance.label or "photolith", kind=kind,
+        continuous=list(layout.continuous), binary=list(layout.binary),
+        weights=_objective_weights(kind, layout.weighted, jobs), big_m=M,
+        blocks=[Rows(cols, coefs[terms].reshape(cols.shape), lower[rows], upper[rows])
+                for _, cols, rows, terms in layout.families],
+        row_namers=[names or assign_names for names, *_ in layout.families],
+        placements=lambda: layout.placements)
 
 
 def write_lp(model: MilpModel) -> str:

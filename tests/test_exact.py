@@ -16,7 +16,7 @@ from scipy import sparse
 
 from enumeration import brute_force
 from photosched import exact
-from photosched.core import Instance, Job, Machine, Objective
+from photosched.core import Instance, Job, Machine, Objective, big_m
 from photosched.decoder import Decoder, JobOrder, decode
 from photosched.evaluator import check_feasibility, objective_value
 from photosched.exact import (
@@ -225,6 +225,86 @@ def test_golden_highs_inputs(n, mc):
                for name, build in (("literal", export_milp),
                                    ("internal", exact._disjunctive_model))}
     assert digests == GOLDEN_HIGHS[(n, mc)]
+
+
+def _fresh_export(instance, kind):
+    """`export_milp` with its layout cache emptied first."""
+    exact._literal_layout.cache_clear()
+    return export_milp(instance, kind)
+
+
+def _flipped(instance):
+    """The instance with every number changed: stages 1, 4 and 6 skipped
+    where needed and needed where skipped, later ready and due times, heavier
+    weights and another label."""
+    times = {1: 40, 4: 45, 6: 45}
+    return Instance(
+        jobs=tuple(Job(job.id, tuple(0 if s in times and job.needs(s) else times.get(s, t)
+                                     for s, t in enumerate(job.p, 1)),
+                       ready=job.ready + 17, due=job.due + 31, weight=job.weight + 1)
+                   for job in instance.jobs),
+        machines=instance.machines, label="flipped")
+
+
+def _assert_numbers_of(instance, model):
+    """The model's ready, chain, assignment and tardiness bounds, objective
+    weights and big-M are the instance's."""
+    rhs = {row.name: row.rhs for row in model.constraints}
+    weights = model.objective
+    assert model.big_m == big_m(instance)
+    for job in instance.jobs:
+        assert rhs[f"ready_{job.id}"] == job.ready + job.p[0]
+        assert [rhs[f"chain_{s}_{job.id}"] for s in range(2, 7)] == list(job.p[1:])
+        for s in range(1, 7):
+            assert rhs[f"assign_{'on' if job.needs(s) else 'off'}_{s}_{job.id}"] == job.needs(s)
+        if model.kind == Objective.TWT:
+            assert rhs[f"tardy_{job.id}"] == -job.due
+            assert weights[f"T_{job.id}"] == job.weight
+        elif model.kind == Objective.WCT:
+            assert weights[f"C_6_{job.id}"] == job.weight
+
+
+def test_instances_of_one_shape_get_their_own_numbers():
+    a = generate_instance(GenConfig(n=4, ready_scenario=ReadyScenario.MIXED_30_70,
+                                    equipment=1, seed=12))
+    b = _flipped(a)
+    moved = Instance(jobs=a.jobs, machines=a.machines[::-1], label=a.label)
+    expected = {(name, kind): (write_lp(model), _highs_inputs_digest(inst, model))
+                for name, inst in (("a", a), ("b", b), ("moved", moved))
+                for kind in Objective
+                for model in [_fresh_export(inst, kind)]}
+    # B's numbers reach HiGHS, not only its names.
+    assert all(expected["a", kind][1] != expected["b", kind][1] for kind in Objective)
+    assert any("assign_on_4_" in expected["b", kind][0] for kind in Objective)
+    exact._literal_layout.cache_clear()
+    for name, inst in (("a", a), ("b", b), ("a", a), ("moved", moved)):
+        for kind in Objective:
+            model = export_milp(inst, kind)
+            assert (write_lp(model), _highs_inputs_digest(inst, model)) == expected[name, kind]
+            _assert_numbers_of(inst, model)
+    assert exact._literal_layout.cache_info().hits == 2 * len(Objective)
+
+
+def test_an_exported_model_cannot_change_the_next_export():
+    inst = generate_instance(GenConfig(n=3, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=1, seed=3))
+    for kind in Objective:
+        model = export_milp(inst, kind)
+        for block in model.blocks:
+            for array in block:
+                assert array.size
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        model.continuous.append("Z")
+        model.binary.reverse()
+        model.weights[0] = 9.0
+        model.blocks.pop()
+        model.row_namers.pop(0)
+        again = export_milp(inst, kind)
+        fresh = _fresh_export(inst, kind)
+        assert write_lp(again) == write_lp(fresh)
+        assert _highs_inputs_digest(inst, again) == _highs_inputs_digest(inst, fresh)
+        assert again.placements() == fresh.placements()
 
 
 def _violated_rows(model, values, tol=1e-6):
