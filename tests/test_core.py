@@ -1,13 +1,18 @@
 """Domain model: stages, tool classes, routes, instance files."""
 
 import ast
+import json
 import os
 import pathlib
 import pickle
+import re
+import string
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import photosched
 from photosched.core import (
@@ -241,6 +246,49 @@ def test_instance_round_trip(tmp_path):
     save_instance(inst, path)
     again = load_instance(path)
     assert again == inst
+
+
+# Label characters json escapes: quote, backslash, tab, non-ASCII, astral
+# and lone surrogates.  A high surrogate followed by a low one is a pair,
+# which json reads back as the one astral character.
+_LABEL_CHARS = st.one_of(st.sampled_from('"\\\t'), st.characters(),
+                         st.characters(codec=None, categories=["Cs"]))
+_SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
+_WHOLE = st.integers(0, 10**12)
+
+
+@st.composite
+def file_instances(draw):
+    """1-30 jobs on a shuffled subset of one generated park plus machines
+    with other ids; ready times and due dates up to 10**12."""
+    park = equipment(draw(st.sampled_from((1, 2))))
+    machines = [m for m in park if draw(st.booleans())]
+    ids = st.text(string.ascii_letters + string.digits, min_size=1, max_size=6)
+    taken = {m.id for m in park}
+    for mid in draw(st.lists(ids.filter(lambda i: i not in taken), max_size=4, unique=True)):
+        machines.append(Machine(mid, draw(st.sampled_from(tuple(TOOL_STAGES)))))
+    machines = draw(st.permutations(machines))
+    jobs = []
+    for jid in draw(st.lists(ids, min_size=1, max_size=30, unique=True)):
+        p = tuple(draw(st.integers(1 if s in (2, 3, 5) else 0, 600)) for s in STAGES)
+        jobs.append(Job(jid, p, ready=draw(_WHOLE), due=draw(_WHOLE),
+                        weight=draw(st.integers(1, 5))))
+    label = draw(st.text(_LABEL_CHARS, max_size=12))
+    assume(label.splitlines() in ([], [label]) and not _SURROGATE_PAIR.search(label))
+    try:
+        return Instance(jobs=tuple(jobs), machines=tuple(machines), label=label)
+    except ValueError:  # a job without a route through the park
+        assume(False)
+
+
+@settings(max_examples=150)
+@given(file_instances())
+def test_instance_file_is_json_with_sorted_keys_and_one_space_indent(tmp_path_factory, inst):
+    path = tmp_path_factory.mktemp("inst") / "inst.json"
+    save_instance(inst, path)
+    expected = json.dumps(instance_to_dict(inst), indent=1, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+    assert load_instance(path) == inst
 
 
 def test_a_pickled_instance_hashes_like_an_equal_one_in_another_process():

@@ -1,8 +1,12 @@
 """Feasibility checking, semi-active timing, metrics, schedule files."""
 
+import hashlib
+import random
+
 import pytest
 
 from photosched.core import Instance, Job, Objective
+from photosched.decoder import decoder_for
 from photosched.evaluator import (
     CyclicSequenceError,
     Schedule,
@@ -15,7 +19,7 @@ from photosched.evaluator import (
     save_schedule,
     timelines,
 )
-from photosched.instgen import equipment
+from photosched.instgen import GenConfig, ReadyScenario, equipment, generate_instance
 
 
 def one_job_instance(p=(40, 20, 75, 45, 30, 45), **kw):
@@ -359,3 +363,75 @@ def test_load_schedule_rejects_a_malformed_start(tmp_path):
     path.write_text("job_id,stage,machine_id,start,completion\nJ1,2,C1,x,20\n")
     with pytest.raises(ValueError):
         load_schedule(path)
+
+
+
+def _schedule_file_case(case):
+    """(instance, schedule) of one golden schedule file: a decoded random
+    order at n jobs on a park, or one of two hand-built schedules."""
+    if case == "ties":
+        # Both jobs on C1 then E1 at the same times: rows order by machine,
+        # start, then job id as text (J10 before J2).
+        inst = Instance(jobs=(Job("J2", (0, 20, 75, 0, 30, 0)),
+                              Job("J10", (0, 20, 75, 0, 30, 0))),
+                        machines=tuple(equipment(2)))
+        visits = {2: ("C1", 20), 3: ("E1", 95), 5: ("D1", 125)}
+        return inst, Schedule({(j, s): m for j in ("J2", "J10") for s, (m, _) in visits.items()},
+                              {(j, s): c for j in ("J2", "J10") for s, (_, c) in visits.items()})
+    if case == "unchecked":
+        # Machine ids a hand-built Schedule does not check; csv quotes them.
+        inst = one_job_instance()
+        sch = timed(inst, {("J1", 1): "S1", ("J1", 2): "C1", ("J1", 3): "E1",
+                           ("J1", 4): "B1", ("J1", 5): "D1", ("J1", 6): "B1"})
+        sch.assign.update({("J1", 1): 'X,"9', ("J1", 4): "B 1", ("J1", 6): "B\n1"})
+        return inst, sch
+    n, park = case
+    inst = generate_instance(GenConfig(n=n, ready_scenario=ReadyScenario.MIXED_30_70,
+                                       equipment=park, seed=31 * n + park))
+    order = random.Random(f"{n}:{park}").sample([j.id for j in inst.jobs], n)
+    return inst, decoder_for(inst).schedule(order)
+
+
+# First 16 hex digits of the SHA-256 of `save_schedule`'s file per case:
+# n = 1..15 on both parks, then the hand-built ones.
+GOLDEN_SCHEDULE_FILES = {
+    (1, 1): "feff804003f5610b",
+    (1, 2): "db6dba7230ba7775",
+    (2, 1): "c6f5f38a40ff1c2c",
+    (2, 2): "1c6f7696a29a3590",
+    (3, 1): "dd262d98b8d40b05",
+    (3, 2): "e58411dbdc2edd7f",
+    (4, 1): "2da9f73b71d46161",
+    (4, 2): "3eb2f880905e7c14",
+    (5, 1): "270bd7e97e068665",
+    (5, 2): "0eefe48aae8f8019",
+    (6, 1): "f46a2d464276e5c5",
+    (6, 2): "1a7b8872d37feffb",
+    (7, 1): "f1e141337680a9f8",
+    (7, 2): "567c06ce6f7e678a",
+    (8, 1): "4ddf76e855fb611d",
+    (8, 2): "b8398989b78ed24a",
+    (9, 1): "44b43ea17ae44c9b",
+    (9, 2): "4a09b5ebf94c92db",
+    (10, 1): "ed97235df607bcd0",
+    (10, 2): "6f4ede3679ed5238",
+    (11, 1): "84a25f7a4ec00730",
+    (11, 2): "09f96d5ac6c5ea97",
+    (12, 1): "59efbe15d471dba7",
+    (12, 2): "2079371918da091d",
+    (13, 1): "4f2a917103ea4cdf",
+    (13, 2): "5a0516554dfaf0db",
+    (14, 1): "f87e540b3650d6e6",
+    (14, 2): "c7fb40ac7f6dbdc3",
+    (15, 1): "e98bdebdc00aa53e",
+    (15, 2): "1325a34393bd84c9",
+    "ties": "62fbaa7fe0e5a15a",
+    "unchecked": "6c37bfa238235ce6",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SCHEDULE_FILES))
+def test_golden_schedule_files(tmp_path, case):
+    path = tmp_path / "sched.csv"
+    save_schedule(*_schedule_file_case(case), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_SCHEDULE_FILES[case]
