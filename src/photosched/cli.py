@@ -116,7 +116,7 @@ def _cmd_solve(args) -> int:
           f"cmax={m.cmax} wct={m.wct} twt={m.twt}")
     if args.out_schedule:
         save_schedule(instance, schedule, args.out_schedule)
-    if args.out_trace and trace is not None:
+    if args.out_trace:
         with open(args.out_trace, "w") as fh:
             fh.write("iteration,best\n")
             for i, best in enumerate(trace, start=1):
@@ -213,6 +213,9 @@ def dispatch(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.verb == "solve" and args.alg == "exact" and args.out_trace:
+            parser.error("argument --out-trace: not allowed with --alg exact, "
+                         "which keeps no trace")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

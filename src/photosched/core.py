@@ -381,10 +381,27 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(jobs=tuple(jobs), machines=machines, label=data.get("label", ""))
 
 
+# The text `json.dump(instance_to_dict(x), indent=1, sort_keys=True)` writes,
+# plus a newline, as one template per job and per machine: any indent puts
+# json on its pure-Python encoder, which writes token by token.  Times are
+# exact ints (`Job` checks) and every string goes through `json.dumps`.
+_JOB_TEXT = ('  {\n   "d": %d,\n   "id": %s,\n   "p": [\n'
+             + ",\n".join(["    %d"] * N_STAGES)
+             + '\n   ],\n   "r": %d,\n   "w": %d\n  }')
+_MACHINE_TEXT = '  {\n   "class": %s,\n   "id": %s\n  }'
+_FILE_TEXT = ('{\n "jobs": [\n%s\n ],\n "label": %s,\n'
+              ' "machines": [\n%s\n ],\n "version": %d\n}\n')
+
+
 def save_instance(instance: Instance, path) -> None:
+    dumps = json.dumps
+    jobs = ",\n".join([_JOB_TEXT % (j.due, dumps(j.id), *j.p, j.ready, j.weight)
+                       for j in instance.jobs])
+    machines = ",\n".join([_MACHINE_TEXT % (dumps(m.tool_class), dumps(m.id))
+                           for m in instance.machines])
+    text = _FILE_TEXT % (jobs, dumps(instance.label), machines, FILE_VERSION)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_instance(path) -> Instance:

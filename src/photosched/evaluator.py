@@ -312,16 +312,18 @@ SCHEDULE_FIELDS = ("job_id", "stage", "machine_id", "start", "completion")
 
 
 def save_schedule(instance: Instance, schedule: Schedule, path) -> None:
+    """Write one row per visit, ordered by machine, start, job id and stage."""
+    p = {job.id: job.p for job in instance.jobs}
+    completion = schedule.completion
     rows = []
     for (job_id, stage), mid in schedule.assign.items():
-        rows.append((mid, schedule.start(instance, job_id, stage), job_id, stage,
-                     schedule.completion[(job_id, stage)]))
+        c = completion[(job_id, stage)]
+        rows.append((mid, c - p[job_id][stage - 1], job_id, stage, c))
     rows.sort()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCHEDULE_FIELDS)
-        for mid, s, job_id, stage, c in rows:
-            writer.writerow([job_id, stage, mid, s, c])
+        writer.writerows([(job_id, stage, mid, s, c) for mid, s, job_id, stage, c in rows])
 
 
 def load_schedule(path, instance: Optional[Instance] = None) -> Schedule:

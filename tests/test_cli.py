@@ -92,6 +92,16 @@ def test_solve_writes_trace(instance_path, tmp_path, capsys):
     assert len(lines) == 26
 
 
+def test_solve_exact_rejects_out_trace_before_loading(tmp_path, capsys):
+    # Exact keeps no trace; the pair used to exit 0 and write no file.
+    trace = tmp_path / "trace.csv"
+    code, _, err = run(capsys, "solve", str(tmp_path / "missing.json"), "--alg", "exact",
+                       "--out-trace", str(trace))
+    assert code == 2
+    assert "--out-trace" in err and "missing.json" not in err
+    assert not trace.exists()
+
+
 def test_evaluate_rejects_corrupt_schedule(instance_path, tmp_path, capsys):
     sched = tmp_path / "sched.csv"
     code, _, _ = run(capsys, "solve", str(instance_path), "--alg", "sp",
