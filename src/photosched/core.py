@@ -394,12 +394,11 @@ _FILE_TEXT = ('{\n "jobs": [\n%s\n ],\n "label": %s,\n'
 
 
 def save_instance(instance: Instance, path) -> None:
-    dumps = json.dumps
-    jobs = ",\n".join([_JOB_TEXT % (j.due, dumps(j.id), *j.p, j.ready, j.weight)
+    jobs = ",\n".join([_JOB_TEXT % (j.due, json.dumps(j.id), *j.p, j.ready, j.weight)
                        for j in instance.jobs])
-    machines = ",\n".join([_MACHINE_TEXT % (dumps(m.tool_class), dumps(m.id))
+    machines = ",\n".join([_MACHINE_TEXT % (json.dumps(m.tool_class), json.dumps(m.id))
                            for m in instance.machines])
-    text = _FILE_TEXT % (jobs, dumps(instance.label), machines, FILE_VERSION)
+    text = _FILE_TEXT % (jobs, json.dumps(instance.label), machines, FILE_VERSION)
     with open(path, "w") as fh:
         fh.write(text)
 
